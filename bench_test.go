@@ -315,7 +315,7 @@ func benchBTreeData(n int) ([]string, [][][]byte) {
 }
 
 // BenchmarkBTreeInsert measures the per-record insert path (workload-phase
-// inserts, and the load phase when btree-bulk=off): prefix-compared
+// inserts): prefix-compared
 // descent, leaf insert, splits, intrusive buffer-pool touches.
 func BenchmarkBTreeInsert(b *testing.B) {
 	keys, vals := benchBTreeData(b.N)

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cluster"
 	"repro/internal/stats"
-	"repro/internal/ycsb"
 )
 
 // Explanation reports where a cell's time went: per-node utilization of
@@ -32,52 +30,34 @@ type NodeUtilization struct {
 	RAMUsed  int64
 }
 
-// Explain runs one cell (uncached — it needs the live deployment) and
-// returns the utilization breakdown.
+// Explain re-executes one cell through the run path at repetition 0 — the
+// same seed, faults, throttle and workload as the run Run measures first —
+// with an observer that reads per-node utilization off the live
+// deployment. It bypasses the result cache, because only a live run has a
+// deployment to observe.
 func (r *Runner) Explain(c Cell) (*Explanation, error) {
-	rv, err := r.resolve(c)
-	if err != nil {
-		return nil, err
+	if c.LoadOnly {
+		return nil, fmt.Errorf("harness: explain needs a measured run; %s is load-only", r.key(c))
 	}
-	// Same seed derivation as Run's first repetition, so the explanation
-	// describes the exact run that produced the cached cell result.
-	dep, err := DeployVariants(r.cellSeed(r.key(c), 0), c.System, rv.spec, r.Cfg.Scale, c.Variants)
-	if err != nil {
-		return nil, err
-	}
-	if err := ycsb.LoadSized(dep.Store, rv.records, rv.wl.FieldSize()); err != nil {
-		return nil, err
-	}
-	res, err := ycsb.Run(dep.Engine, ycsb.RunConfig{
-		Store:          dep.Store,
-		Workload:       rv.wl,
-		Clients:        rv.clients,
-		InitialRecords: rv.records,
-		Warmup:         r.Cfg.Warmup,
-		Measure:        r.Cfg.Measure,
+	ex := &Explanation{Cell: c}
+	res, err := r.execute(c, r.key(c), 0, func(dep *Deployment, col *stats.Collector) {
+		sum := col.Summarize()
+		ex.Read, ex.Insert, ex.Scan = sum.Read, sum.Insert, sum.Scan
+		for _, n := range dep.Clust.Nodes {
+			ex.Nodes = append(ex.Nodes, NodeUtilization{
+				Node:     n.ID,
+				CPU:      n.CPU.Utilization(),
+				Disk:     n.DiskBusy(),
+				NIC:      n.NIC.Utilization(),
+				DiskUsed: n.DiskUsed(),
+				RAMUsed:  n.RAMUsed(),
+			})
+		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	sum := res.Summarize()
-	ex := &Explanation{
-		Cell:       c,
-		Throughput: sum.Throughput,
-		Errors:     sum.Errors,
-		Read:       sum.Read,
-		Insert:     sum.Insert,
-		Scan:       sum.Scan,
-	}
-	for _, n := range dep.Clust.Nodes {
-		ex.Nodes = append(ex.Nodes, NodeUtilization{
-			Node:     n.ID,
-			CPU:      n.CPU.Utilization(),
-			Disk:     n.DiskBusy(),
-			NIC:      n.NIC.Utilization(),
-			DiskUsed: n.DiskUsed(),
-			RAMUsed:  n.RAMUsed(),
-		})
-	}
+	ex.Throughput, ex.Errors = res.Throughput, res.Errors
 	return ex, nil
 }
 
@@ -123,32 +103,4 @@ func (e *Explanation) Render() string {
 	}
 	fmt.Fprintf(&b, "  bottleneck: %s\n", bottleneck)
 	return b.String()
-}
-
-// clusterSpecFor centralizes the cell-to-hardware mapping shared with the
-// runner: an explicit Spec override wins, then the ClusterD flag, then the
-// paper's memory-bound Cluster M.
-func clusterSpecFor(c Cell, cfg Config) cluster.Spec {
-	if c.Spec.Name != "" {
-		s := c.Spec
-		s.Nodes = c.Nodes
-		return s
-	}
-	if c.ClusterD {
-		return cluster.ClusterD(c.Nodes)
-	}
-	return cluster.ClusterM(c.Nodes)
-}
-
-func recordsFor(c Cell, cfg Config) int64 {
-	if c.RecordsPerNode > 0 {
-		// Scenario-level dataset override: per-node count applies on any
-		// cluster (Cluster D's paper-fixed total is a config default, not
-		// a law of the hardware).
-		return int64(float64(c.RecordsPerNode*int64(c.Nodes)) * cfg.Scale)
-	}
-	if c.ClusterD {
-		return int64(float64(cfg.ClusterDRecords) * cfg.Scale)
-	}
-	return int64(float64(cfg.RecordsPerNode*int64(c.Nodes)) * cfg.Scale)
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/ycsb"
 )
 
@@ -68,6 +67,26 @@ func TestDeployAllSystems(t *testing.T) {
 	if _, err := Deploy(1, System("nope"), cluster.ClusterM(1), 0.01); err == nil {
 		t.Fatal("unknown system accepted")
 	}
+	// The retired legacy-load knob is no longer vocabulary anywhere.
+	if _, err := DeployVariants(1, MySQL, cluster.ClusterM(1), 0.001, "btree-bulk=off"); err == nil ||
+		!strings.Contains(err.Error(), `does not support variant "btree-bulk"`) {
+		t.Fatalf("mysql btree-bulk=off: err = %v, want unknown variant", err)
+	}
+}
+
+// TestSupportsScansMatchesStoreCaps pins the pre-deploy scan predicate to
+// the deployed stores' own capability bit, so the support matrix the
+// planner and scenario layer read cannot drift from what the stores serve.
+func TestSupportsScansMatchesStoreCaps(t *testing.T) {
+	for _, sys := range AllSystems {
+		dep, err := Deploy(1, sys, cluster.ClusterM(1), 0.001)
+		if err != nil {
+			t.Fatalf("deploy %s: %v", sys, err)
+		}
+		if got, want := SupportsScans(sys), dep.Store.Caps().Scans; got != want {
+			t.Errorf("%s: SupportsScans = %v, deployed Caps().Scans = %v", sys, got, want)
+		}
+	}
 }
 
 func TestConnsPolicy(t *testing.T) {
@@ -100,46 +119,6 @@ func TestSupportsWorkload(t *testing.T) {
 	}
 	if SupportsWorkload(Voldemort, ycsb.Workload{Name: "US", ScanProp: 0.5, UpdateProp: 0.5, ScanLength: 10}) {
 		t.Fatal("scan half of a mix must still exclude voldemort")
-	}
-}
-
-// TestBTreeBulkVariantHostSideOnly pins the btree-bulk knob's contract:
-// with the same seed, a deployment loading through the deferred bulk build
-// and one forced onto the legacy per-record path produce bit-identical
-// virtual-time results — the variant is an A/B profiling knob, never a
-// model change. Unknown elsewhere: the knob is B-tree-store vocabulary.
-func TestBTreeBulkVariantHostSideOnly(t *testing.T) {
-	for _, sys := range []System{MySQL, Voldemort} {
-		var tput [2]float64
-		var readLat [2]sim.Time
-		for i, v := range []string{"", "btree-bulk=off"} {
-			dep, err := DeployVariants(7, sys, cluster.ClusterM(2), 0.001, v)
-			if err != nil {
-				t.Fatalf("%s deploy %q: %v", sys, v, err)
-			}
-			if err := ycsb.Load(dep.Store, 20000); err != nil {
-				t.Fatal(err)
-			}
-			res, err := ycsb.Run(dep.Engine, ycsb.RunConfig{
-				Store:          dep.Store,
-				Workload:       ycsb.WorkloadRW,
-				Clients:        8,
-				InitialRecords: 20000,
-				Warmup:         50 * sim.Millisecond,
-				Measure:        200 * sim.Millisecond,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			tput[i], readLat[i] = res.Throughput(), res.MeanLatency(stats.OpRead)
-		}
-		if tput[0] != tput[1] || readLat[0] != readLat[1] {
-			t.Fatalf("%s: btree-bulk=off shifted results: tput %v vs %v, read %v vs %v",
-				sys, tput[0], tput[1], readLat[0], readLat[1])
-		}
-	}
-	if _, err := DeployVariants(1, Cassandra, cluster.ClusterM(1), 0.001, "btree-bulk=off"); err == nil {
-		t.Fatal("cassandra accepted the btree-bulk variant; it is B-tree-store vocabulary")
 	}
 }
 
@@ -391,16 +370,52 @@ func TestExplainReportsUtilization(t *testing.T) {
 	}
 }
 
-func TestExplainRejectsBadCell(t *testing.T) {
-	r := NewRunner(testCfg())
-	if _, err := r.Explain(Cell{System: Voldemort, Nodes: 1, Workload: "RS"}); err == nil {
-		t.Fatal("explain accepted voldemort scans")
+// TestExplainMatchesRun pins that Explain observes the very run Run
+// measures: fault, throttled and query cells included, its headline
+// throughput and error count equal the cell's result. A cell Run rejects,
+// Explain rejects too.
+func TestExplainMatchesRun(t *testing.T) {
+	dash, err := APMDashboard([]int{1}).Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cell Cell
+	}{
+		{"plain", Cell{System: Cassandra, Nodes: 2, Workload: "R"}},
+		{"fault", Cell{System: Cassandra, Nodes: 2, Workload: "W", Faults: "kill-node@1[0.3:0.6]"}},
+		{"throttled", Cell{System: Cassandra, Nodes: 2, Workload: "R", TargetFraction: 0.5}},
+		{"query", dash[0]},
+		{"bad", Cell{System: Voldemort, Nodes: 1, Workload: "RS"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRunner(testCfg())
+			ex, exErr := r.Explain(tc.cell)
+			res, runErr := r.Run(tc.cell)
+			if tc.name == "bad" {
+				if exErr == nil || runErr == nil {
+					t.Fatalf("voldemort scans accepted: explain err %v, run err %v", exErr, runErr)
+				}
+				return
+			}
+			if exErr != nil || runErr != nil {
+				t.Fatalf("explain err %v, run err %v", exErr, runErr)
+			}
+			if ex.Throughput != res.Throughput || ex.Errors != res.Errors {
+				t.Fatalf("explain %.2f ops/s, %d errors; run %.2f ops/s, %d errors",
+					ex.Throughput, ex.Errors, res.Throughput, res.Errors)
+			}
+			if len(ex.Nodes) != tc.cell.Nodes {
+				t.Fatalf("explanation covers %d nodes, want %d", len(ex.Nodes), tc.cell.Nodes)
+			}
+		})
 	}
 }
 
 // TestCompactionThresholdVariant pins the compaction-threshold deploy
-// variant: it is real model vocabulary (unlike btree-bulk it changes the
-// compaction schedule, so modeled numbers move), it reaches the LSM config
+// variant: it is real model vocabulary (it changes the compaction
+// schedule, so modeled numbers move), it reaches the LSM config
 // on both LSM stores, and malformed or misdirected forms are rejected.
 func TestCompactionThresholdVariant(t *testing.T) {
 	run := func(sys System, v string) (float64, int64) {

@@ -82,7 +82,7 @@ func TestScenarioHardwareResolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := clusterSpecFor(cells[0], Quick())
+	spec := clusterSpecFor(cells[0])
 	if spec.Name != "ssd" || spec.Nodes != cells[0].Nodes {
 		t.Fatalf("spec = %+v", spec)
 	}
@@ -92,7 +92,7 @@ func TestScenarioHardwareResolves(t *testing.T) {
 	if ms := spec.Node.DiskSeek.Seconds() * 1e3; ms < 0.099 || ms > 0.101 {
 		t.Fatalf("DiskSeek = %v, want 0.1ms", spec.Node.DiskSeek)
 	}
-	base := clusterSpecFor(Cell{System: Cassandra, Nodes: cells[0].Nodes}, Quick())
+	base := clusterSpecFor(Cell{System: Cassandra, Nodes: cells[0].Nodes})
 	if spec.Node.Cores != base.Node.Cores || spec.Node.RAMBytes != base.Node.RAMBytes {
 		t.Fatalf("unset knobs must inherit Cluster M: %+v vs %+v", spec.Node, base.Node)
 	}

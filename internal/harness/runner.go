@@ -538,15 +538,17 @@ func (r *Runner) resolveCell(c Cell, key string) (CellResult, bool, error) {
 	return res, false, err
 }
 
-// measure executes a cell outside the cache: repetition averaging for
-// workload cells, a bare deploy+load for LoadOnly cells.
+// measure executes a cell outside the cache, averaging workload cells over
+// their repetitions. A LoadOnly cell runs once: its load is deterministic
+// per seed.
 func (r *Runner) measure(c Cell, key string) (CellResult, error) {
+	reps := r.repetitions(c)
 	if c.LoadOnly {
-		return r.loadOnly(c, key)
+		reps = 1
 	}
 	var acc CellResult
-	for rep := 0; rep < r.repetitions(c); rep++ {
-		res, err := r.run(c, key, int64(rep))
+	for rep := 0; rep < reps; rep++ {
+		res, err := r.execute(c, key, int64(rep), nil)
 		if err != nil {
 			return CellResult{}, err
 		}
@@ -572,50 +574,129 @@ func (r *Runner) measure(c Cell, key string) (CellResult, error) {
 	return acc, nil
 }
 
-// resolved is a cell translated into concrete run inputs: the operation
-// mix, the hardware, the dataset size and the client count (after variant
-// overrides). Shared by run, loadOnly and Explain so every execution path
-// interprets a cell identically.
-type resolved struct {
-	wl      ycsb.Workload
-	spec    cluster.Spec
-	records int64
-	clients int
+// cellDriver is the part of a cell's execution that depends on its kind
+// (YCSB, analytic query or load-only): the dataset it loads and the
+// workload that drives the measured run.
+type cellDriver struct {
+	records int64 // records the load phase writes
+	load    func(store.Store) error
+	// drive runs the measured workload against a loaded deployment at the
+	// given throttle (0 = unthrottled). Nil for LoadOnly cells.
+	drive  func(dep *Deployment, target float64) (*stats.Collector, *stats.WindowedLatency, error)
+	faults fault.Schedule
 }
 
-func (r *Runner) resolve(c Cell) (resolved, error) {
-	wl, err := c.workload()
-	if err != nil {
-		return resolved{}, err
-	}
-	if !SupportsWorkload(c.System, wl) {
-		return resolved{}, fmt.Errorf("harness: %s does not support workload %s", c.System, c.workloadName())
-	}
+// driverFor translates a cell into its driver, validating everything that
+// can be checked without a deployment, so a bad cell fails before anything
+// is deployed or loaded.
+func (r *Runner) driverFor(c Cell) (cellDriver, error) {
+	var d cellDriver
 	clients := Conns(c.System, c.Nodes, c.ClusterD)
+	if c.Queries != "" {
+		// Dashboard sessions, not YCSB load generators: a handful of
+		// concurrent readers per node (each query already fans out into
+		// tens of range scans).
+		clients = 4 * c.Nodes
+	}
 	if perNode, ok, err := variantInt(c.Variants, "conns"); err != nil {
-		return resolved{}, err
+		return d, err
 	} else if ok {
 		clients = perNode * c.Nodes
 	}
-	return resolved{
-		wl:      wl,
-		spec:    clusterSpecFor(c, r.Cfg),
-		records: recordsFor(c, r.Cfg),
-		clients: clients,
-	}, nil
+	if c.Faults != "" {
+		sched, err := fault.ParseSchedule(c.Faults)
+		if err != nil {
+			return d, err
+		}
+		d.faults = sched
+	}
+
+	if c.Queries != "" {
+		// Query cells load the time-ordered APM measurement grid, sized
+		// like the cell's YCSB dataset would be. Query latencies land on the
+		// scan metric — a query is a scan pipeline.
+		mix, err := query.ParseMix(c.Queries)
+		if err != nil {
+			return d, err
+		}
+		if !SupportsScans(c.System) {
+			return d, fmt.Errorf("harness: %s does not support queries", c.System)
+		}
+		if c.TargetFraction > 0 {
+			return d, fmt.Errorf("harness: query cells run closed-loop; TargetFraction is YCSB-only")
+		}
+		ds := query.SizeDataset(recordsFor(c, r.Cfg))
+		d.records, d.load = ds.Records(), ds.Load
+		d.drive = func(dep *Deployment, _ float64) (*stats.Collector, *stats.WindowedLatency, error) {
+			res, err := query.Run(dep.Engine, query.RunConfig{
+				Store:   dep.Store,
+				Dataset: ds,
+				Mix:     mix,
+				Clients: clients,
+				Warmup:  r.Cfg.Warmup,
+				Measure: r.Cfg.Measure,
+			})
+			if err != nil {
+				return nil, nil, err
+			}
+			return res.Collector, nil, nil
+		}
+		return d, nil
+	}
+
+	// A LoadOnly cell's workload, when set, only selects the record size.
+	fieldBytes := store.FieldBytes
+	var wl ycsb.Workload
+	if !c.LoadOnly || c.Workload != "" || c.Mix.Name != "" {
+		var err error
+		if wl, err = c.workload(); err != nil {
+			return d, err
+		}
+		fieldBytes = wl.FieldSize()
+	}
+	records := recordsFor(c, r.Cfg)
+	d.records = records
+	d.load = func(s store.Store) error { return ycsb.LoadSized(s, records, fieldBytes) }
+	if c.LoadOnly {
+		return d, nil
+	}
+	if !SupportsWorkload(c.System, wl) {
+		return d, fmt.Errorf("harness: %s does not support workload %s", c.System, c.workloadName())
+	}
+	d.drive = func(dep *Deployment, target float64) (*stats.Collector, *stats.WindowedLatency, error) {
+		res, err := ycsb.Run(dep.Engine, ycsb.RunConfig{
+			Store:           dep.Store,
+			Workload:        wl,
+			Clients:         clients,
+			TargetOpsPerSec: target,
+			InitialRecords:  records,
+			Warmup:          r.Cfg.Warmup,
+			Measure:         r.Cfg.Measure,
+			TrackWindows:    c.Faults != "",
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		return res.Collector, res.Windows, nil
+	}
+	return d, nil
 }
 
-func (r *Runner) run(c Cell, key string, rep int64) (CellResult, error) {
-	if c.Queries != "" {
-		return r.runQueries(c, key, rep)
-	}
-	rv, err := r.resolve(c)
+// execute is the one cell-execution path, shared by Run and Explain. For
+// repetition rep of cell c it deploys the store, loads it, and — unless c
+// is LoadOnly — injects the cell's faults, drives its workload and reads
+// the result off the run's collector. observe, when set, sees the live
+// deployment and the collector once the run is over; it must not change
+// either.
+func (r *Runner) execute(c Cell, key string, rep int64, observe func(*Deployment, *stats.Collector)) (CellResult, error) {
+	d, err := r.driverFor(c)
 	if err != nil {
 		return CellResult{}, err
 	}
-
+	// A throttled cell runs at a share of its unthrottled base's measured
+	// throughput; resolve the base before this cell holds a deployment.
 	var target float64
-	if base, ok := c.base(); ok {
+	if base, ok := c.base(); ok && d.drive != nil {
 		maxRes, err := r.Run(base)
 		if err != nil {
 			return CellResult{}, err
@@ -623,130 +704,71 @@ func (r *Runner) run(c Cell, key string, rep int64) (CellResult, error) {
 		target = maxRes.Throughput * c.TargetFraction
 	}
 
-	dep, err := DeployVariants(r.cellSeed(key, rep), c.System, rv.spec, r.Cfg.Scale, c.Variants)
+	dep, err := DeployVariants(r.cellSeed(key, rep), c.System, clusterSpecFor(c), r.Cfg.Scale, c.Variants)
 	if err != nil {
 		return CellResult{}, err
 	}
-	if err := ycsb.LoadSized(dep.Store, rv.records, rv.wl.FieldSize()); err != nil {
+	if err := d.load(dep.Store); err != nil {
 		return CellResult{}, err
 	}
-	r.reportMemStats(key, dep.Store, rv.records)
-	// Fault injection rides the cell's own event stream: the schedule's
-	// fractional windows resolve against warmup+measure, so the same
-	// schedule exercises paper and quick fidelity alike.
-	if c.Faults != "" {
-		sched, err := fault.ParseSchedule(c.Faults)
+	r.reportMemStats(key, dep.Store, d.records)
+	res := CellResult{Cell: c}
+	if d.drive != nil {
+		// Fault injection rides the cell's own event stream: the schedule's
+		// fractional windows resolve against warmup+measure, so the same
+		// schedule exercises paper and quick fidelity alike.
+		if d.faults != nil {
+			if err := fault.Inject(dep.Engine, dep.Clust.Nodes, dep.Store, d.faults, r.Cfg.Warmup+r.Cfg.Measure); err != nil {
+				return CellResult{}, err
+			}
+		}
+		col, windows, err := d.drive(dep, target)
 		if err != nil {
 			return CellResult{}, err
 		}
-		if err := fault.Inject(dep.Engine, dep.Clust.Nodes, dep.Store, sched, r.Cfg.Warmup+r.Cfg.Measure); err != nil {
-			return CellResult{}, err
+		r.reportScanStats(key, dep.Store)
+		if observe != nil {
+			observe(dep, col)
 		}
+		res.Throughput = col.Throughput()
+		res.ReadLat = col.MeanLatency(stats.OpRead)
+		res.WriteLat = col.MeanLatency(stats.OpInsert)
+		res.UpdateLat = col.MeanLatency(stats.OpUpdate)
+		res.ScanLat = col.MeanLatency(stats.OpScan)
+		res.Ops = col.Ops()
+		res.Errors = col.Errors()
+		res.Timeouts = col.Timeouts()
+		res.Windows = windows
 	}
-	res, err := ycsb.Run(dep.Engine, ycsb.RunConfig{
-		Store:           dep.Store,
-		Workload:        rv.wl,
-		Clients:         rv.clients,
-		TargetOpsPerSec: target,
-		InitialRecords:  rv.records,
-		Warmup:          r.Cfg.Warmup,
-		Measure:         r.Cfg.Measure,
-		TrackWindows:    c.Faults != "",
-	})
-	if err != nil {
-		return CellResult{}, err
-	}
-	r.reportScanStats(key, dep.Store)
-	return CellResult{
-		Cell:                c,
-		Throughput:          res.Throughput(),
-		ReadLat:             res.MeanLatency(stats.OpRead),
-		WriteLat:            res.MeanLatency(stats.OpInsert),
-		UpdateLat:           res.MeanLatency(stats.OpUpdate),
-		ScanLat:             res.MeanLatency(stats.OpScan),
-		Ops:                 res.Ops(),
-		Errors:              res.Errors(),
-		Timeouts:            res.Timeouts(),
-		DiskBytesPaperScale: float64(dep.Store.DiskUsage()) / r.Cfg.Scale,
-		Windows:             res.Windows,
-	}, nil
+	res.DiskBytesPaperScale = float64(dep.Store.DiskUsage()) / r.Cfg.Scale
+	return res, nil
 }
 
-// runQueries measures one repetition of an analytic query cell: deploy the
-// system, bulk-load the time-ordered APM measurement grid (sized like the
-// cell's YCSB dataset would be), and run the dashboard query mix against
-// it. Query latencies land on the scan metric — a query is a scan
-// pipeline — so scenario figures read them through scan-latency.
-func (r *Runner) runQueries(c Cell, key string, rep int64) (CellResult, error) {
-	mix, err := query.ParseMix(c.Queries)
-	if err != nil {
-		return CellResult{}, err
+// clusterSpecFor maps a cell to its hardware: an explicit Spec override
+// wins, then the ClusterD flag, then the paper's memory-bound Cluster M.
+func clusterSpecFor(c Cell) cluster.Spec {
+	if c.Spec.Name != "" {
+		s := c.Spec
+		s.Nodes = c.Nodes
+		return s
 	}
-	// Dashboard sessions, not YCSB load generators: a handful of
-	// concurrent readers per node (each query already fans out into tens
-	// of range scans), overridable via the conns variant like any cell.
-	clients := 4 * c.Nodes
-	if perNode, ok, err := variantInt(c.Variants, "conns"); err != nil {
-		return CellResult{}, err
-	} else if ok {
-		clients = perNode * c.Nodes
+	if c.ClusterD {
+		return cluster.ClusterD(c.Nodes)
 	}
-	dep, err := DeployVariants(r.cellSeed(key, rep), c.System, clusterSpecFor(c, r.Cfg), r.Cfg.Scale, c.Variants)
-	if err != nil {
-		return CellResult{}, err
-	}
-	ds := query.SizeDataset(recordsFor(c, r.Cfg))
-	if err := ds.Load(dep.Store); err != nil {
-		return CellResult{}, err
-	}
-	r.reportMemStats(key, dep.Store, ds.Records())
-	res, err := query.Run(dep.Engine, query.RunConfig{
-		Store:   dep.Store,
-		Dataset: ds,
-		Mix:     mix,
-		Clients: clients,
-		Warmup:  r.Cfg.Warmup,
-		Measure: r.Cfg.Measure,
-	})
-	if err != nil {
-		return CellResult{}, err
-	}
-	r.reportScanStats(key, dep.Store)
-	return CellResult{
-		Cell:                c,
-		Throughput:          res.Throughput(),
-		ScanLat:             res.MeanLatency(stats.OpScan),
-		Ops:                 res.Ops(),
-		Errors:              res.Errors(),
-		Timeouts:            res.Timeouts(),
-		DiskBytesPaperScale: float64(dep.Store.DiskUsage()) / r.Cfg.Scale,
-	}, nil
+	return cluster.ClusterM(c.Nodes)
 }
 
-// loadOnly deploys and loads without a workload run. The workload, when
-// set, only selects the record size.
-func (r *Runner) loadOnly(c Cell, key string) (CellResult, error) {
-	fieldBytes := 0 // default record shape
-	if c.Workload != "" || c.Mix.Name != "" {
-		wl, err := c.workload()
-		if err != nil {
-			return CellResult{}, err
-		}
-		fieldBytes = wl.FieldSize()
+func recordsFor(c Cell, cfg Config) int64 {
+	if c.RecordsPerNode > 0 {
+		// Scenario-level dataset override: per-node count applies on any
+		// cluster (Cluster D's paper-fixed total is a config default, not
+		// a law of the hardware).
+		return int64(float64(c.RecordsPerNode*int64(c.Nodes)) * cfg.Scale)
 	}
-	dep, err := DeployVariants(r.cellSeed(key, 0), c.System, clusterSpecFor(c, r.Cfg), r.Cfg.Scale, c.Variants)
-	if err != nil {
-		return CellResult{}, err
+	if c.ClusterD {
+		return int64(float64(cfg.ClusterDRecords) * cfg.Scale)
 	}
-	records := recordsFor(c, r.Cfg)
-	if err := ycsb.LoadSized(dep.Store, records, fieldBytes); err != nil {
-		return CellResult{}, err
-	}
-	r.reportMemStats(key, dep.Store, records)
-	return CellResult{
-		Cell:                c,
-		DiskBytesPaperScale: float64(dep.Store.DiskUsage()) / r.Cfg.Scale,
-	}, nil
+	return int64(float64(cfg.RecordsPerNode*int64(c.Nodes)) * cfg.Scale)
 }
 
 func progressLine(c Cell, res CellResult) string {

@@ -516,7 +516,7 @@ func (s *Scenario) querySeries(hw cluster.Spec, variants []string) ([]seriesSpec
 	var specs []seriesSpec
 	var skipped []string
 	for _, sys := range s.Systems {
-		if !SupportsQueries(sys) {
+		if !SupportsScans(sys) {
 			skipped = append(skipped, fmt.Sprintf("%s/queries", sys))
 			continue
 		}

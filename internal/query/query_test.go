@@ -61,7 +61,7 @@ func (m *memStore) Scan(p *sim.Proc, start string, count int) (store.Cursor, err
 	return store.NewSliceCursor(out), nil
 }
 
-func (m *memStore) Caps() store.Caps { return store.Caps{Scans: true, Queries: true} }
+func (m *memStore) Caps() store.Caps { return store.Caps{Scans: true} }
 func (m *memStore) DiskUsage() int64 { return 0 }
 
 // inProc runs fn inside one simulated process and drains the engine.

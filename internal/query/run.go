@@ -47,7 +47,7 @@ func Run(e *sim.Engine, cfg RunConfig) (*Result, error) {
 	if cfg.Dataset.Hosts <= 0 {
 		return nil, fmt.Errorf("query: dataset has no hosts")
 	}
-	if !cfg.Store.Caps().Queries {
+	if !cfg.Store.Caps().Scans {
 		return nil, store.ErrScansUnsupported
 	}
 	backoff := cfg.UnavailableBackoff

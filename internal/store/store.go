@@ -265,19 +265,13 @@ func CopiesOnIngest(s Store) bool {
 	return ok && c.CopiesOnIngest()
 }
 
-// Caps describes a store's read-side capabilities: whether range scans are
-// implemented at all, and whether the store can serve the analytic query
-// layer (internal/query), which needs key-ordered scan results to run
-// per-metric range pipelines. Today every scanning store returns ordered
-// results, so the two track together; they are separate bits because the
-// paper's stores differ in both dimensions.
+// Caps describes a store's read-side capabilities. Every scanning store
+// returns key-ordered results, so Scans also gates the analytic query layer
+// (internal/query), whose per-metric range pipelines read through Scan.
 type Caps struct {
 	// Scans reports whether Scan is implemented (the Voldemort YCSB
 	// client in the paper has no scan operation).
 	Scans bool
-	// Queries reports whether the analytic query layer can plan against
-	// this store (requires ordered scans).
-	Queries bool
 }
 
 // ScanStatsReporter is implemented by stores whose engines keep scan-path

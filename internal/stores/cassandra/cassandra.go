@@ -219,7 +219,7 @@ func (s *Store) SlabBytes() int64 {
 
 // Caps implements store.Store: range slices are supported and return
 // key-ordered rows, so the query layer can plan against them.
-func (s *Store) Caps() store.Caps { return store.Caps{Scans: true, Queries: true} }
+func (s *Store) Caps() store.Caps { return store.Caps{Scans: true} }
 
 // ScanStats implements store.ScanStatsReporter: scan-path positioning and
 // pruning counters summed across every node's LSM tree.

@@ -204,7 +204,7 @@ func (s *Store) SlabBytes() int64 {
 // Caps implements store.Store: region scans return globally key-ordered
 // rows (regions partition the key space by range), so the query layer can
 // plan against them.
-func (s *Store) Caps() store.Caps { return store.Caps{Scans: true, Queries: true} }
+func (s *Store) Caps() store.Caps { return store.Caps{Scans: true} }
 
 // ScanStats implements store.ScanStatsReporter: scan-path positioning and
 // pruning counters summed across every region's LSM tree.

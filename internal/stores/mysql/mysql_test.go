@@ -189,40 +189,3 @@ func TestUpdateMissingKeyErrors(t *testing.T) {
 	})
 	e.Run(0)
 }
-
-// TestLegacyLoadEquivalent pins the btree-bulk=off contract at the store
-// level: the legacy per-record load produces the same footprint and the
-// same simulated read cost as the deferred bulk build.
-func TestLegacyLoadEquivalent(t *testing.T) {
-	eBulk, bulk := deploy(2, Options{BinLog: true})
-	eLegacy, legacy := deploy(2, Options{BinLog: true, LegacyLoad: true})
-	for i := int64(0); i < 20000; i++ {
-		bulk.Load(store.Key(i), store.MakeFields(i))
-		legacy.Load(store.Key(i), store.MakeFields(i))
-	}
-	if bulk.DiskUsage() != legacy.DiskUsage() {
-		t.Fatalf("disk usage diverged: bulk %d vs legacy %d", bulk.DiskUsage(), legacy.DiskUsage())
-	}
-	var latBulk, latLegacy sim.Time
-	eBulk.Go("r", func(p *sim.Proc) {
-		start := p.Now()
-		s := bulk
-		for i := int64(0); i < 100; i++ {
-			s.Read(p, store.Key(i*97))
-		}
-		latBulk = p.Now() - start
-	})
-	eLegacy.Go("r", func(p *sim.Proc) {
-		start := p.Now()
-		s := legacy
-		for i := int64(0); i < 100; i++ {
-			s.Read(p, store.Key(i*97))
-		}
-		latLegacy = p.Now() - start
-	})
-	eBulk.Run(0)
-	eLegacy.Run(0)
-	if latBulk != latLegacy {
-		t.Fatalf("read cost diverged: bulk %v vs legacy %v", latBulk, latLegacy)
-	}
-}

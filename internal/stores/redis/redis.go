@@ -132,7 +132,7 @@ func (s *Store) SlabBytes() int64 {
 // Caps implements store.Store: the sharded client merges every instance's
 // sorted slice, so results are key-ordered and the query layer can plan
 // against them.
-func (s *Store) Caps() store.Caps { return store.Caps{Scans: true, Queries: true} }
+func (s *Store) Caps() store.Caps { return store.Caps{Scans: true} }
 
 func (s *Store) inst(key string) *instance { return s.insts[s.ring.Owner(key)] }
 

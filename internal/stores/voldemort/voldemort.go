@@ -42,10 +42,6 @@ type Options struct {
 	// read-modify-write performs) and rewrites the leaf in place, so it
 	// lands between ReadCPU and ReadCPU+WriteCPU.
 	UpdateCPU sim.Time
-	// LegacyLoad disables the B-tree's deferred bulk build and loads via
-	// per-record tree inserts (the btree-bulk=off variant). Both paths
-	// produce bit-identical trees and charges.
-	LegacyLoad bool
 	// PartitionsPerNode is the Voldemort partition count per node (§4.3).
 	PartitionsPerNode int
 	// BDBCacheFraction is the share of node RAM given to the BerkeleyDB
@@ -251,14 +247,9 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) (store.Cursor, error)
 }
 
 // Load implements store.Store: buffered into the B-tree's deferred bulk
-// build unless LegacyLoad forces per-record inserts.
+// build.
 func (s *Store) Load(key string, f store.Fields) error {
-	sv := s.server(key)
-	if s.opts.LegacyLoad {
-		sv.db.Put(key, f)
-	} else {
-		sv.db.Load(key, f)
-	}
+	s.server(key).db.Load(key, f)
 	return nil
 }
 

@@ -129,7 +129,7 @@ func (s *Store) SlabBytes() int64 {
 // Caps implements store.Store: the multi-partition scan gathers and sorts
 // every site's rows, so results are key-ordered and the query layer can
 // plan against them.
-func (s *Store) Caps() store.Caps { return store.Caps{Scans: true, Queries: true} }
+func (s *Store) Caps() store.Caps { return store.Caps{Scans: true} }
 
 // route returns the host and site owning key.
 func (s *Store) route(key string) (*host, *site) {
