@@ -377,6 +377,44 @@ func BenchmarkLSMScan(b *testing.B) {
 	e.Run(0)
 }
 
+// BenchmarkScanGather measures the 50-row scan of the hash-partitioned
+// in-memory stores on a loaded 4-node deployment: every VoltDB site's or
+// Redis instance's range merged into one count-bounded result. The scan's
+// virtual-time charges run too, as in a figure cell.
+func BenchmarkScanGather(b *testing.B) {
+	const records = 40_000 // quick fidelity: 10k records per node
+	keys := make([]string, records)
+	for i := range keys {
+		keys[i] = keyOf(int64(i))
+	}
+	for _, sys := range []harness.System{harness.VoltDB, harness.Redis} {
+		b.Run(string(sys), func(b *testing.B) {
+			dep, err := harness.Deploy(1, sys, clusterM4(), 0.001)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i, k := range keys {
+				dep.Store.Load(k, fieldsOf(int64(i)))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			dep.Engine.Go("scan", func(p *sim.Proc) {
+				for i := 0; i < b.N; i++ {
+					cur, err := dep.Store.Scan(p, keys[i%records], 50)
+					if err != nil {
+						b.Errorf("scan from %s: %v", keys[i%records], err)
+						return
+					}
+					for cur.Next() {
+					}
+					cur.Close()
+				}
+			})
+			dep.Engine.Run(0)
+		})
+	}
+}
+
 func BenchmarkAblationCassandraReplication(b *testing.B) {
 	runFigureBench(b, benchRunner.Ablations()["ablation-cassandra-replication"], "rf1_ops/s")
 }

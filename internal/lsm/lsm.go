@@ -186,19 +186,14 @@ func (t *Tree) Get(p *sim.Proc, key string) (slab.FieldsView, bool) {
 const memtableGen = 1 << 30
 
 // scanSource is one cursor feeding the k-way merge in Scan: the memtable's
-// skip-list iterator or an SSTable iterator.
+// skip-list iterator or an SSTable iterator. key caches the current
+// entry's key, so heap comparisons never decode a whole entry.
 type scanSource struct {
+	key   string
 	gen   int
 	mem   memtable.Iterator // skip-list cursor; only valid when isMem
 	tab   sstable.Iterator  // table cursor; only valid when !isMem
 	isMem bool
-}
-
-func (s *scanSource) key() string {
-	if s.isMem {
-		return s.mem.Entry().Key
-	}
-	return s.tab.Entry().Key
 }
 
 func (s *scanSource) entry() memtable.Entry {
@@ -212,10 +207,18 @@ func (s *scanSource) entry() memtable.Entry {
 func (s *scanSource) advance() bool {
 	if s.isMem {
 		s.mem.Next()
-		return s.mem.Valid()
+		if !s.mem.Valid() {
+			return false
+		}
+		s.key = s.mem.Key()
+		return true
 	}
 	s.tab.Next()
-	return s.tab.Valid()
+	if !s.tab.Valid() {
+		return false
+	}
+	s.key = s.tab.Key()
+	return true
 }
 
 // mergeHeap is a binary min-heap of scan sources ordered by (current key,
@@ -224,7 +227,7 @@ func (s *scanSource) advance() bool {
 type mergeHeap []scanSource
 
 func (h mergeHeap) before(a, b int) bool {
-	ka, kb := h[a].key(), h[b].key()
+	ka, kb := h[a].key, h[b].key
 	if ka != kb {
 		return ka < kb
 	}
@@ -323,11 +326,11 @@ func (t *Tree) ScanCursor(p *sim.Proc, start string) *Cursor {
 	// the sources cannot change while the cursor is consumed.
 	h := make(mergeHeap, 0, len(live)+1)
 	if it := mem.SeekIter(start); it.Valid() {
-		h = append(h, scanSource{gen: memtableGen, mem: it, isMem: true})
+		h = append(h, scanSource{key: it.Key(), gen: memtableGen, mem: it, isMem: true})
 	}
 	for _, tab := range live {
 		if it := tab.SeekIter(start); it.Valid() {
-			h = append(h, scanSource{gen: tab.Gen, tab: it})
+			h = append(h, scanSource{key: it.Key(), gen: tab.Gen, tab: it})
 		}
 	}
 	for i := len(h)/2 - 1; i >= 0; i-- {

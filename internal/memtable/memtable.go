@@ -16,14 +16,14 @@
 // memory — which is what lets callers reuse one fields buffer across
 // operations (see store.CopiesOnIngest).
 //
-// Ownership note: Get/Scan/iterators return views of the memtable's
-// slabs. A later Put that replaces a key with same-shaped fields
-// overwrites those bytes in place, so a value read before a simulated
-// park may observe the newer write after it — the same "state as of the
-// last positioning I/O" semantics the LSM scan path documents. Entries
-// handed to a flush are frozen: flushing swaps the whole memtable out,
-// Freeze hands the payload slab to the sstable without copying, and a
-// frozen memtable's slabs are never written again.
+// Ownership note: Get, Gather and iterators return views of the
+// memtable's slabs. A later Put that replaces a key with same-shaped
+// fields overwrites those bytes in place, so a value read before a
+// simulated park may observe the newer write after it — the same "state
+// as of the last positioning I/O" semantics the LSM scan path documents.
+// Entries handed to a flush are frozen: flushing swaps the whole memtable
+// out, Freeze hands the payload slab to the sstable without copying, and
+// a frozen memtable's slabs are never written again.
 package memtable
 
 import (
@@ -322,13 +322,87 @@ func (m *Memtable) Get(key string) (slab.FieldsView, bool) {
 	return slab.FieldsView{}, false
 }
 
-// Scan returns up to count entries with keys >= start, in key order.
-func (m *Memtable) Scan(start string, count int) []Entry {
-	var out []Entry
-	for x := m.findGreaterOrEqual(start, nil); x != 0 && len(out) < count; x = m.next(x) {
-		out = append(out, m.nodeEntry(x))
+// Gather is the bounded k-way merge behind range scans over memtables
+// that hold disjoint keys — the partitions of a hash-sharded in-memory
+// store (VoltDB sites, sharded Redis instances). Each Scan walks one
+// partition from the scan's start and merges it straight into a running
+// result of at most count entries, so rows the bound discards are never
+// materialized or sorted. Disjoint keys (one owner per key) mean the
+// merge never meets a tie.
+//
+// After the last Scan a Gather is a cursor over its result in key order:
+// Next/Key/Fields/Close satisfy store.Cursor. The entries are views taken
+// at Scan time, with the same ownership rules as Get's.
+type Gather struct {
+	count       int
+	rows, spare []Entry
+	pos         int
+}
+
+// NewGather starts a gather that keeps the count smallest keys.
+func NewGather(count int) *Gather { return &Gather{count: count} }
+
+// Scan merges m's entries with keys >= start into the result and reports
+// how many entries it walked: min(count, entries >= start), the row count
+// a materialized count-bounded scan of m returns. The walk always covers
+// that many nodes, but only entries that can still make the bound are
+// materialized. m's keys must be disjoint from those already gathered.
+func (g *Gather) Scan(m *Memtable, start string) int {
+	if g.count <= 0 {
+		return 0
 	}
-	return out
+	x := m.findGreaterOrEqual(start, nil)
+	if x == 0 {
+		return 0
+	}
+	if need := min(g.count, len(g.rows)+m.n); cap(g.spare) < need {
+		g.spare = make([]Entry, 0, need)
+	}
+	out, rows, i := g.spare[:0], g.rows, 0
+	walked := 0
+	// Every walked node either lands in out or fills it, so walked never
+	// passes len(out) here.
+	for ; x != 0 && len(out) < g.count; x = m.next(x) {
+		k := m.nodeKey(x)
+		for i < len(rows) && rows[i].Key < k && len(out) < g.count {
+			out = append(out, rows[i])
+			i++
+		}
+		if len(out) < g.count {
+			out = append(out, m.nodeEntry(x))
+		}
+		walked++
+	}
+	// The bound is full: the rest of the walk only counts nodes.
+	for ; x != 0 && walked < g.count; x = m.next(x) {
+		walked++
+	}
+	for ; i < len(rows) && len(out) < g.count; i++ {
+		out = append(out, rows[i])
+	}
+	g.rows, g.spare = out, rows
+	return walked
+}
+
+// Next advances the cursor and reports whether an entry exists.
+func (g *Gather) Next() bool {
+	if g.pos >= len(g.rows) {
+		return false
+	}
+	g.pos++
+	return true
+}
+
+// Key returns the current entry's key; valid after Next reports true.
+func (g *Gather) Key() string { return g.rows[g.pos-1].Key }
+
+// Fields returns the current entry's field view.
+func (g *Gather) Fields() slab.FieldsView { return g.rows[g.pos-1].Fields }
+
+// Close releases the gathered entries.
+func (g *Gather) Close() error {
+	g.rows, g.spare = nil, nil
+	return nil
 }
 
 // next returns the offset of the node after x on the bottom level.
@@ -422,6 +496,10 @@ func (it Iterator) Valid() bool { return it.x != 0 }
 // Entry returns the current entry. It must not be called on an invalid
 // iterator.
 func (it Iterator) Entry() Entry { return it.m.nodeEntry(it.x) }
+
+// Key returns the current entry's key without decoding its fields. It
+// must not be called on an invalid iterator.
+func (it Iterator) Key() string { return it.m.nodeKey(it.x) }
 
 // Next advances to the following entry in key order.
 func (it *Iterator) Next() { it.x = it.m.next(it.x) }

@@ -2,6 +2,7 @@ package memtable
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sort"
 	"testing"
@@ -46,7 +47,7 @@ func TestScanOrderedFromStart(t *testing.T) {
 	for i := 9; i >= 0; i-- {
 		m.Put(fmt.Sprintf("k%02d", i), f1("v"))
 	}
-	got := m.Scan("k03", 4)
+	got := scan(m, "k03", 4)
 	if len(got) != 4 {
 		t.Fatalf("scan returned %d entries, want 4", len(got))
 	}
@@ -62,7 +63,7 @@ func TestScanStartBetweenKeys(t *testing.T) {
 	m := New(1)
 	m.Put("a", f1("v"))
 	m.Put("c", f1("v"))
-	got := m.Scan("b", 10)
+	got := scan(m, "b", 10)
 	if len(got) != 1 || got[0].Key != "c" {
 		t.Fatalf("scan from between keys = %v, want [c]", got)
 	}
@@ -71,8 +72,92 @@ func TestScanStartBetweenKeys(t *testing.T) {
 func TestScanPastEnd(t *testing.T) {
 	m := New(1)
 	m.Put("a", f1("v"))
-	if got := m.Scan("z", 5); len(got) != 0 {
+	if got := scan(m, "z", 5); len(got) != 0 {
 		t.Fatalf("scan past end returned %v", got)
+	}
+}
+
+// scan is a one-partition gather: up to count entries with keys >= start.
+func scan(m *Memtable, start string, count int) []Entry {
+	g := NewGather(count)
+	g.Scan(m, start)
+	return drain(g)
+}
+
+// drain consumes a gather as a cursor.
+func drain(g *Gather) []Entry {
+	var out []Entry
+	for g.Next() {
+		out = append(out, Entry{Key: g.Key(), Fields: g.Fields()})
+	}
+	return out
+}
+
+// refScan is the materializing count-bounded scan Gather replaced, walked
+// through the public iterator.
+func refScan(m *Memtable, start string, count int) []Entry {
+	var out []Entry
+	for it := m.SeekIter(start); it.Valid() && len(out) < count; it.Next() {
+		out = append(out, it.Entry())
+	}
+	return out
+}
+
+// TestGatherMatchesSortedConcat pins the bounded k-way gather against the
+// gather-then-sort it replaced: over random partitions holding disjoint
+// keys (some empty), random starts (past the last key included) and
+// bounds (0 and beyond the rows available included), the result equals
+// every partition's scan concatenated, sorted and truncated to count, and
+// each partition reports exactly the rows its own bounded scan returns —
+// the count VoltDB charges per-row CPU on.
+func TestGatherMatchesSortedConcat(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 300; trial++ {
+		parts := make([]*Memtable, 1+rng.Intn(6))
+		for i := range parts {
+			parts[i] = New(int64(trial*10 + i))
+		}
+		// Hash-style ownership gives each key exactly one partition;
+		// partitions past live stay empty. Repeated keys take the
+		// replace path on their owner.
+		live := 1 + rng.Intn(len(parts))
+		for k := rng.Intn(200); k > 0; k-- {
+			key := fmt.Sprintf("user%06d", rng.Intn(5000))
+			h := fnv.New32a()
+			h.Write([]byte(key))
+			parts[int(h.Sum32()%uint32(live))].Put(key, f1(fmt.Sprintf("v%d", k)))
+		}
+		start := fmt.Sprintf("user%06d", rng.Intn(5200))
+		if rng.Intn(10) == 0 {
+			start = ""
+		}
+		count := rng.Intn(60)
+		if rng.Intn(10) == 0 {
+			count = 1000
+		}
+		g := NewGather(count)
+		var concat []Entry
+		for i, m := range parts {
+			want := refScan(m, start, count)
+			if got := g.Scan(m, start); got != len(want) {
+				t.Fatalf("trial %d: partition %d walked %d rows, want %d", trial, i, got, len(want))
+			}
+			concat = append(concat, want...)
+		}
+		sort.Slice(concat, func(i, j int) bool { return concat[i].Key < concat[j].Key })
+		if len(concat) > count {
+			concat = concat[:count]
+		}
+		got := drain(g)
+		if len(got) != len(concat) {
+			t.Fatalf("trial %d: gathered %d rows, want %d", trial, len(got), len(concat))
+		}
+		for i := range got {
+			if got[i].Key != concat[i].Key || field0(got[i]) != field0(concat[i]) {
+				t.Fatalf("trial %d: row %d = %q/%q, want %q/%q", trial, i,
+					got[i].Key, field0(got[i]), concat[i].Key, field0(concat[i]))
+			}
+		}
 	}
 }
 
@@ -144,8 +229,8 @@ func TestPropertyAgainstMap(t *testing.T) {
 	}
 }
 
-// Property: Scan(start, n) equals the reference-sorted slice filtered to
-// keys >= start, truncated to n.
+// Property: a one-partition gather from start bounded by n equals the
+// reference-sorted slice filtered to keys >= start, truncated to n.
 func TestPropertyScanMatchesSortedRef(t *testing.T) {
 	f := func(keys []string, start string, n8 uint8) bool {
 		n := int(n8%16) + 1
@@ -165,7 +250,7 @@ func TestPropertyScanMatchesSortedRef(t *testing.T) {
 		if len(want) > n {
 			want = want[:n]
 		}
-		got := m.Scan(start, n)
+		got := scan(m, start, n)
 		if len(got) != len(want) {
 			return false
 		}
@@ -299,7 +384,7 @@ func (r *refTable) sortedKeys() []string {
 // TestSlabLayoutEquivalence pins the slab-backed memtable against the
 // PR-4 layout's observable behavior op-for-op: after every operation of
 // a seeded random workload (inserts, same-shape replaces, reshaping
-// replaces, point gets, scans), Len/Bytes/Get/Scan/All/SeekIter must
+// replaces, point gets, scans), Len/Bytes/Get/Gather/All/SeekIter must
 // agree exactly with a reference model implementing the documented PR-4
 // semantics. This is the contract that makes the layout swap host-side
 // only: Bytes() drives flush timing, All() order drives sstable
@@ -350,7 +435,7 @@ func TestSlabLayoutEquivalence(t *testing.T) {
 			}
 		case 3: // scan from a random start
 			count := 1 + rng.Intn(8)
-			got := m.Scan(key, count)
+			got := scan(m, key, count)
 			var want []string
 			for _, k := range ref.sortedKeys() {
 				if k >= key && len(want) < count {

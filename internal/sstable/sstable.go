@@ -15,7 +15,9 @@
 package sstable
 
 import (
+	"cmp"
 	"sort"
+	"strings"
 
 	"repro/internal/bloom"
 	"repro/internal/memtable"
@@ -288,8 +290,25 @@ func (it Iterator) Valid() bool { return it.i < len(it.t.meta) }
 // iterator.
 func (it Iterator) Entry() memtable.Entry { return it.t.entryAt(it.i) }
 
+// Key returns the current entry's key without decoding its fields. It
+// must not be called on an invalid iterator.
+func (it Iterator) Key() string { return it.t.keyAt(it.i) }
+
 // Next advances to the following entry.
 func (it *Iterator) Next() { it.i++ }
+
+// cmp orders the current keys of two valid iterators, resolving almost
+// every comparison on the prefix pair.
+func (it Iterator) cmp(o Iterator) int {
+	a, b := &it.t.meta[it.i], &o.t.meta[o.i]
+	if a.keyPfx != b.keyPfx {
+		return cmp.Compare(a.keyPfx, b.keyPfx)
+	}
+	if a.keyPfx2 != b.keyPfx2 {
+		return cmp.Compare(a.keyPfx2, b.keyPfx2)
+	}
+	return strings.Compare(it.Key(), o.Key())
+}
 
 // Merge combines tables into one run; for duplicate keys the entry from the
 // table with the highest generation wins. The result's generation is the
@@ -314,7 +333,9 @@ func Merge(tables []*Table, ov Overhead, fpp float64) *Table {
 		// Pick the smallest current key; among duplicates the entry from
 		// the highest-generation table wins and the others are skipped.
 		// Linear scan over k sources: compaction fan-in is small (a tier),
-		// so this beats maintaining a heap.
+		// so this beats maintaining a heap. Comparisons read keys only
+		// (prefix words first); fields are decoded once, for the
+		// surviving entry.
 		best := -1
 		for i := range iters {
 			if !iters[i].Valid() {
@@ -324,19 +345,18 @@ func Merge(tables []*Table, ov Overhead, fpp float64) *Table {
 				best = i
 				continue
 			}
-			bk, ik := iters[best].Entry().Key, iters[i].Entry().Key
-			if ik < bk || (ik == bk && tables[i].Gen > tables[best].Gen) {
+			if c := iters[i].cmp(iters[best]); c < 0 || (c == 0 && tables[i].Gen > tables[best].Gen) {
 				best = i
 			}
 		}
 		if best < 0 {
 			break
 		}
-		e := iters[best].Entry()
-		b.add(e.Key, e.Fields)
+		win := iters[best]
+		b.add(win.Key(), win.t.fieldsAt(win.i))
 		// Consume this key from every source.
 		for i := range iters {
-			for iters[i].Valid() && iters[i].Entry().Key == e.Key {
+			for iters[i].Valid() && iters[i].cmp(win) == 0 {
 				iters[i].Next()
 			}
 		}

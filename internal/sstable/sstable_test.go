@@ -283,3 +283,26 @@ func TestFromMemtableMatchesBuildSorted(t *testing.T) {
 		t.Fatal("reference has more entries than the handoff table")
 	}
 }
+
+// BenchmarkMerge measures a compaction merge of four tables that each
+// span the keyspace (hash-permuted keys, like load-phase flushes), per
+// merged entry.
+func BenchmarkMerge(b *testing.B) {
+	const ways, per = 4, 25000
+	var tables []*Table
+	for w := 0; w < ways; w++ {
+		mem := memtable.New(int64(w))
+		for i := 0; i < per; i++ {
+			mem.Put(fmt.Sprintf("user%021d", uint64(w*per+i)*0x9E3779B97F4A7C15), [][]byte{[]byte("0123456789")})
+		}
+		tables = append(tables, FromMemtable(w+1, mem, ov, 0.01))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if m := Merge(tables, ov, 0.01); m.Len() != ways*per {
+			b.Fatalf("merged %d entries, want %d", m.Len(), ways*per)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ways*per), "ns/entry")
+}

@@ -130,8 +130,8 @@ func (s *Store) SlabBytes() int64 {
 }
 
 // Caps implements store.Store: the sharded client merges every instance's
-// sorted slice, so results are key-ordered and the query layer can plan
-// against them.
+// key-ordered range, so results are key-ordered and the query layer can
+// plan against them.
 func (s *Store) Caps() store.Caps { return store.Caps{Scans: true} }
 
 func (s *Store) inst(key string) *instance { return s.insts[s.ring.Owner(key)] }
@@ -234,49 +234,27 @@ func (s *Store) Read(p *sim.Proc, key string) (store.FieldsView, error) {
 // Scan implements store.Store. The sharded client must consult every
 // instance (hash sharding destroys key order) and merge, so all virtual
 // time is charged before the cursor over the merged result is returned —
-// the same sequence the historical materialized Scan charged.
+// the same sequence the historical materialized Scan charged. Instances
+// hold disjoint keys, so each answer merges straight into the
+// count-bounded result.
 func (s *Store) Scan(p *sim.Proc, start string, count int) (store.Cursor, error) {
 	// The merge needs an answer from every shard; any dead shard fails
 	// the whole scan.
 	if s.downCount > 0 {
 		return nil, store.ErrUnavailable
 	}
-	var all []memtable.Entry
+	g := memtable.NewGather(count)
 	for _, in := range s.insts {
 		in := in
 		base.Roundtrip(p, in.node, base.ReqHeader, int64(count)*base.RecordWire, func() {
 			in.loop.Acquire(p)
 			in.swapPenalty(p)
 			in.node.Compute(p, s.opts.ReadCPU+sim.Time(count)*s.opts.ScanPerRecordCPU)
-			all = append(all, in.data.Scan(start, count)...)
+			g.Scan(in.data, start)
 			in.loop.Release()
 		})
 	}
-	return store.NewSliceCursor(mergeEntries(all, count)), nil
-}
-
-func mergeEntries(es []memtable.Entry, count int) []store.Record {
-	// Small k-way merge by selection: entries per shard are sorted; total
-	// size is at most shards*count, so a simple sort is fine.
-	out := make([]store.Record, 0, count)
-	used := make([]bool, len(es))
-	for len(out) < count {
-		best := -1
-		for i, e := range es {
-			if used[i] {
-				continue
-			}
-			if best == -1 || e.Key < es[best].Key {
-				best = i
-			}
-		}
-		if best == -1 {
-			break
-		}
-		used[best] = true
-		out = append(out, store.Record{Key: es[best].Key, Fields: es[best].Fields})
-	}
-	return out
+	return g, nil
 }
 
 // Load implements store.Store.

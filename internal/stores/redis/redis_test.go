@@ -33,18 +33,33 @@ func TestShardingRoutesConsistently(t *testing.T) {
 	}
 }
 
+// TestMergeEntriesOrdersAndBounds pins the client-side merge the scan
+// runs over its shards' answers: key-ordered across shards and bounded by
+// count.
 func TestMergeEntriesOrdersAndBounds(t *testing.T) {
-	es := []memtable.Entry{
-		{Key: "c"}, {Key: "a"}, {Key: "e"}, {Key: "b"}, {Key: "d"},
+	shards := []*memtable.Memtable{memtable.New(1), memtable.New(2), memtable.New(3)}
+	for i, k := range []string{"c", "a", "e", "b", "d"} {
+		shards[i%len(shards)].Put(k, nil)
 	}
-	out := mergeEntries(es, 3)
-	if len(out) != 3 || out[0].Key != "a" || out[1].Key != "b" || out[2].Key != "c" {
+	merge := func(count int) []string {
+		g := memtable.NewGather(count)
+		for _, m := range shards {
+			g.Scan(m, "")
+		}
+		var keys []string
+		for g.Next() {
+			keys = append(keys, g.Key())
+		}
+		return keys
+	}
+	out := merge(3)
+	if len(out) != 3 || out[0] != "a" || out[1] != "b" || out[2] != "c" {
 		t.Fatalf("merge = %v", out)
 	}
-	if got := mergeEntries(nil, 5); len(got) != 0 {
-		t.Fatalf("merge of nothing = %v", got)
+	if got := merge(0); len(got) != 0 {
+		t.Fatalf("merge bounded to nothing = %v", got)
 	}
-	if got := mergeEntries(es, 100); len(got) != 5 {
+	if got := merge(100); len(got) != 5 {
 		t.Fatalf("merge larger than input = %d entries", len(got))
 	}
 }

@@ -16,8 +16,6 @@
 package voltdb
 
 import (
-	"sort"
-
 	"repro/internal/cluster"
 	"repro/internal/hashring"
 	"repro/internal/memtable"
@@ -126,9 +124,9 @@ func (s *Store) SlabBytes() int64 {
 	return total
 }
 
-// Caps implements store.Store: the multi-partition scan gathers and sorts
-// every site's rows, so results are key-ordered and the query layer can
-// plan against them.
+// Caps implements store.Store: the multi-partition scan merges every
+// site's key-ordered rows, so results are key-ordered and the query layer
+// can plan against them.
 func (s *Store) Caps() store.Caps { return store.Caps{Scans: true} }
 
 // route returns the host and site owning key.
@@ -226,8 +224,11 @@ func (s *Store) Update(p *sim.Proc, key string, f store.Fields) error {
 
 // Scan implements store.Store: a multi-partition transaction that blocks
 // one site on every host while the fragment runs. The transaction commits
-// — every fragment charged, rows gathered and sorted — before the cursor
-// is returned, matching the historical materialized Scan's charges.
+// — every fragment charged, its rows merged into the count-bounded result
+// — before the cursor is returned, matching the historical materialized
+// Scan's charges. Sites hold disjoint keys (one partition owner per key)
+// in key order, so each fragment merges its walk straight into the
+// result; the per-row charge is for every row the fragment walked.
 func (s *Store) Scan(p *sim.Proc, start string, count int) (store.Cursor, error) {
 	ai := p.Rand().Intn(len(s.hosts))
 	// A multi-partition transaction needs a fragment from every host.
@@ -235,7 +236,7 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) (store.Cursor, error)
 		return nil, store.ErrUnavailable
 	}
 	arrival := s.hosts[ai]
-	var all []store.Record
+	g := memtable.NewGather(count)
 	base.Roundtrip(p, arrival.machine, base.ReqHeader, int64(count)*base.RecordWire, func() {
 		s.order(p, true)
 		for _, h := range s.hosts {
@@ -244,11 +245,8 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) (store.Cursor, error)
 				for _, st := range h.sites {
 					st.exec.Acquire(p)
 					h.machine.Compute(p, s.opts.MPFanoutCPU/sim.Time(s.opts.SitesPerHost))
-					rows := st.data.Scan(start, count)
-					h.machine.Compute(p, sim.Time(len(rows))*s.opts.ScanRowCPU)
-					for _, e := range rows {
-						all = append(all, store.Record{Key: e.Key, Fields: e.Fields})
-					}
+					rows := g.Scan(st.data, start)
+					h.machine.Compute(p, sim.Time(rows)*s.opts.ScanRowCPU)
 					st.exec.Release()
 				}
 			}
@@ -259,11 +257,7 @@ func (s *Store) Scan(p *sim.Proc, start string, count int) (store.Cursor, error)
 			base.Forward(p, arrival.machine, h.machine, base.ReqHeader, int64(count)*base.RecordWire, frag)
 		}
 	})
-	sort.Slice(all, func(i, j int) bool { return all[i].Key < all[j].Key })
-	if len(all) > count {
-		all = all[:count]
-	}
-	return store.NewSliceCursor(all), nil
+	return g, nil
 }
 
 // Load implements store.Store.
