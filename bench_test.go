@@ -236,10 +236,9 @@ func BenchmarkLSMGet(b *testing.B) {
 }
 
 // BenchmarkLSMInsert measures the full per-operation write path the
-// benchmark's load and insert loops pay against copy-on-ingest stores:
-// key build and field-set build into reused per-client buffers (the YCSB
-// runner's steady-state path — zero allocations per op), WAL append
-// (async) and memtable insert. The flush threshold is set beyond the
+// benchmark's load and insert loops pay: key build and field-set build
+// into reused per-client buffers (the YCSB runner's steady-state path —
+// zero allocations per op), WAL append (async) and memtable insert. The flush threshold is set beyond the
 // bench's reach so the numbers isolate the per-op cost from flush churn
 // (which the figure benches cover end to end).
 func BenchmarkLSMInsert(b *testing.B) {
@@ -265,31 +264,6 @@ func BenchmarkLSMInsert(b *testing.B) {
 			// memtable copies key bytes into its arena before returning,
 			// the same contract the runner's reuse path relies on.
 			tr.Put(p, unsafe.String(unsafe.SliceData(kb), len(kb)), buf)
-		}
-	})
-	e.Run(0)
-}
-
-// BenchmarkLSMInsertNoReuse is BenchmarkLSMInsert on the allocating path
-// the runner takes against stores that retain caller slices: a fresh key
-// string and field set per operation. The gap against BenchmarkLSMInsert
-// is the per-op win of the buffer-reuse fast path.
-func BenchmarkLSMInsertNoReuse(b *testing.B) {
-	e := sim.NewEngine(1)
-	n := cluster.New(e, cluster.ClusterM(1)).Nodes[0]
-	tr := lsm.New(lsm.Config{
-		Node:       n,
-		Seed:       1,
-		FlushBytes: 1 << 40,
-		Overhead:   sstable.Overhead{PerEntry: 10, PerCell: 20},
-		CacheBytes: 1 << 30,
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.Go("w", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			id := int64(i)
-			tr.Put(p, store.Key(id), store.MakeFields(id))
 		}
 	})
 	e.Run(0)

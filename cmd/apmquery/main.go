@@ -1,6 +1,6 @@
 // Command apmquery demonstrates the APM online-query path (§2): it ingests
 // a stream of agent measurements into a chosen store and answers
-// sliding-window queries against it.
+// sliding-window queries against it through the query layer.
 //
 //	apmquery -system hbase -hosts 20 -window 600
 package main
@@ -13,13 +13,14 @@ import (
 	"repro/internal/apm"
 	"repro/internal/cluster"
 	"repro/internal/harness"
+	"repro/internal/query"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
 
 func main() {
 	var (
-		system  = flag.String("system", "hbase", "store to ingest into (ordered stores give exact windows; see apm.Window)")
+		system  = flag.String("system", "hbase", "store to ingest into (ordered stores give exact windows; hash-partitioned ones scan node-locally)")
 		hosts   = flag.Int("hosts", 20, "monitored hosts")
 		metrics = flag.Int("metrics", 100, "metrics per host")
 		seconds = flag.Int64("seconds", 300, "virtual seconds of ingest")
@@ -34,6 +35,14 @@ func main() {
 	}
 	if !dep.Store.Caps().Scans {
 		fmt.Fprintf(os.Stderr, "apmquery: %s has no scan support; window queries need scans\n", *system)
+		os.Exit(1)
+	}
+
+	// The §2 "maximum number of connections on host X within the last 10
+	// minutes" query: one global group over the window's Max column.
+	windowMax, err := query.Plan(query.Spec{Name: "window", GroupBy: "none", Column: "max", Aggs: []string{"count", "max"}})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "apmquery:", err)
 		os.Exit(1)
 	}
 
@@ -57,17 +66,23 @@ func main() {
 	}
 
 	dep.Engine.Go("queries", func(p *sim.Proc) {
-		p.Sleep(sim.Time(*seconds) * sim.Second)
+		// Start half an interval after the last report so the windows see
+		// its inserts instead of queueing behind them.
+		p.Sleep(sim.Time(*seconds)*sim.Second + interval*sim.Second/2)
 		for h := 0; h < 3 && h < len(agents); h++ {
 			metric := agents[h].Metrics[0]
 			qStart := p.Now()
-			st, err := apm.Window(p, dep.Store, metric, *seconds-*window, *seconds)
+			rows, err := windowMax.Execute(p, dep.Store, []query.Range{{Metric: metric, From: *seconds - *window, To: *seconds}})
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "window: %v\n", err)
 				continue
 			}
-			fmt.Printf("window(%s, last %ds): count=%d avg=%.1f max=%.1f  [query latency %v]\n",
-				metric, *window, st.Count, st.Avg, st.Max, p.Now()-qStart)
+			var count, peak float64 // an empty window has no group row
+			if len(rows) == 1 {
+				count, peak = rows[0].Aggs[0], rows[0].Aggs[1]
+			}
+			fmt.Printf("window(%s, last %ds): count=%.0f max=%.1f  [query latency %v]\n",
+				metric, *window, count, peak, p.Now()-qStart)
 		}
 	})
 

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/apm"
 	"repro/internal/cluster"
+	"repro/internal/query"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/stores/hbase"
@@ -29,7 +30,7 @@ func main() {
 	engine := sim.NewEngine(7)
 	clust := cluster.New(engine, cluster.ClusterM(4).Scale(0.01))
 	// HBase: its ordered regions make the §2 window queries exact (hash-
-	// partitioned stores sample ranges node-locally; see apm.Window).
+	// partitioned stores sample ranges node-locally).
 	db := hbase.New(clust, hbase.Options{MemstoreFlushBytes: 160 << 10})
 
 	fmt.Printf("ingest rate: %.0f measurements/sec (%d hosts x %d metrics / %ds)\n",
@@ -56,36 +57,53 @@ func main() {
 		})
 	}
 
-	// The dashboard process polls the two §2 query classes once a minute.
-	var connStats apm.WindowStats
-	var cpuAvg float64
-	var cpuN int
+	// The dashboard's two §2 query classes, each one global group: the
+	// maximum over one metric's window (its Max column), and the average
+	// over the same metric kind on a group of hosts.
+	connMax, err := query.Plan(query.Spec{Name: "conn-max", GroupBy: "none", Column: "max", Aggs: []string{"count", "max"}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	cpuAvg, err := query.Plan(query.Spec{Name: "cpu-avg", GroupBy: "none", Aggs: []string{"count", "avg"}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	// aggs runs q over ranges and returns its single group's aggregates
+	// (zeros when no sample falls in the window).
+	aggs := func(p *sim.Proc, q *query.Query, ranges []query.Range) (count, agg float64) {
+		rows, err := q.Execute(p, db, ranges)
+		if err != nil {
+			log.Printf("%s query: %v", q.Spec.Name, err)
+		}
+		if len(rows) == 1 {
+			return rows[0].Aggs[0], rows[0].Aggs[1]
+		}
+		return 0, 0
+	}
+
+	var connN, connPeak, cpuN, cpuMean float64
 	engine.Go("dashboard", func(p *sim.Proc) {
-		p.Sleep(sim.Time(runSec) * sim.Second) // query after ingest settles
-		metric := agents[3].Metrics[1]         // Host03 .../ConnectionCount
-		var err error
-		connStats, err = apm.Window(p, db, metric, runSec-600, runSec)
-		if err != nil {
-			log.Printf("window query: %v", err)
-		}
+		// Query half an interval after the last report, once its inserts
+		// have landed; starting at the report instant itself would race
+		// them and miss the newest sample.
+		p.Sleep(sim.Time(runSec)*sim.Second + intervalSec*sim.Second/2)
+		metric := agents[3].Metrics[1] // Host03 .../ConnectionCount
+		connN, connPeak = aggs(p, connMax, []query.Range{{Metric: metric, From: runSec - 600, To: runSec}})
 		// Average CPU across all "web servers" (hosts 0-9).
-		var cpuMetrics []string
+		var cpu []query.Range
 		for h := 0; h < 10; h++ {
-			cpuMetrics = append(cpuMetrics, agents[h].Metrics[2]) // CPUUtilization
+			cpu = append(cpu, query.Range{Metric: agents[h].Metrics[2], From: runSec - 900, To: runSec}) // CPUUtilization
 		}
-		cpuAvg, cpuN, err = apm.GroupAvg(p, db, cpuMetrics, runSec-900, runSec)
-		if err != nil {
-			log.Printf("group query: %v", err)
-		}
+		cpuN, cpuMean = aggs(p, cpuAvg, cpu)
 	})
 
 	engine.Run(0)
 
 	fmt.Printf("ingested %d measurement records (%.1f MB on disk)\n",
 		int64(hosts*metricsPerHost*(runSec/intervalSec)), float64(db.DiskUsage())/1e6)
-	fmt.Printf("Q1 max connections on Host03 over last 10 min: max=%.1f avg=%.1f (%d samples)\n",
-		connStats.Max, connStats.Avg, connStats.Count)
-	fmt.Printf("Q2 avg CPU utilization of web servers over last 15 min: %.1f%% (%d samples)\n",
-		cpuAvg, cpuN)
+	fmt.Printf("Q1 max connections on Host03 over last 10 min: max=%.1f (%.0f samples)\n",
+		connPeak, connN)
+	fmt.Printf("Q2 avg CPU utilization of web servers over last 15 min: %.1f%% (%.0f samples)\n",
+		cpuMean, cpuN)
 	fmt.Printf("virtual time simulated: %v\n", engine.Now())
 }

@@ -1,9 +1,9 @@
 // Package apm implements the application performance management data model
 // of the paper (§2–§3): measurements with a metric name, value, min/max
 // aggregates, timestamp and duration (Fig 2), agents that report thousands
-// of metrics at a fixed interval, and the two online query types the use
-// case needs — sliding-window aggregates over one metric and over a group
-// of metrics.
+// of metrics at a fixed interval, and the paper's sizing arithmetic. The
+// §2 online window queries over stored measurements are package query's
+// job.
 package apm
 
 import (
@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -121,12 +120,20 @@ type Agent struct {
 	walk map[string]float64
 }
 
+// metricKinds are the metric kinds every synthetic component reports.
+var metricKinds = [...]string{"AverageResponseTime", "ConnectionCount", "CPUUtilization", "ErrorRate", "HeapUsage"}
+
+// MetricName names host's i-th synthetic metric: components report every
+// kind in turn, so metric i is kind i%5 of component i/5.
+func MetricName(host string, i int) string {
+	return fmt.Sprintf("%s/Agent/Component%03d/%s", host, i/len(metricKinds), metricKinds[i%len(metricKinds)])
+}
+
 // NewAgent creates an agent with n synthetic metrics.
 func NewAgent(host string, n int, interval int64) *Agent {
 	a := &Agent{Host: host, Interval: interval, walk: map[string]float64{}}
-	kinds := []string{"AverageResponseTime", "ConnectionCount", "CPUUtilization", "ErrorRate", "HeapUsage"}
 	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("%s/Agent/Component%03d/%s", host, i/len(kinds), kinds[i%len(kinds)])
+		name := MetricName(host, i)
 		a.Metrics = append(a.Metrics, name)
 		a.walk[name] = 50 // start mid-range so the walk moves freely
 	}
@@ -156,86 +163,6 @@ func (a *Agent) Report(ts int64, rnd func() float64) []Measurement {
 	return out
 }
 
-// WindowStats aggregates a metric's measurements in [from, to] using a
-// store scan: the "maximum number of connections on host X within the last
-// 10 minutes" query class of §2.
-type WindowStats struct {
-	Count int
-	Avg   float64
-	Min   float64
-	Max   float64
-}
-
-// Window scans one metric's time range and aggregates it.
-//
-// Use an order-preserving store (HBase's range-partitioned regions, or a
-// single-node B-tree store) for window queries: hash-partitioned stores
-// (Cassandra's RandomPartitioner, sharded Redis/MySQL) return node-local
-// samples for range scans, so windows over them may under-count — the same
-// trade-off the paper's scan discussion surfaces (§4.2, §5.4).
-func Window(p *sim.Proc, s store.Store, metric string, from, to int64) (WindowStats, error) {
-	start := Measurement{Metric: metric, Timestamp: from}.Key()
-	var st WindowStats
-	var sum float64
-	first := true
-	for {
-		// One page per scan RPC (the classic paginated range read); each
-		// page is drained via its cursor, charging exactly what the
-		// materialized per-page scan charged.
-		recs, err := store.ScanAll(p, s, start, 60)
-		if err != nil {
-			return WindowStats{}, err
-		}
-		if len(recs) == 0 {
-			break
-		}
-		done := false
-		for _, r := range recs {
-			m, err := Decode(r.Key, r.Fields)
-			if err != nil || m.Metric != metric || m.Timestamp > to {
-				done = true
-				break
-			}
-			st.Count++
-			sum += m.Value
-			if first || m.Min < st.Min {
-				st.Min = m.Min
-			}
-			if first || m.Max > st.Max {
-				st.Max = m.Max
-			}
-			first = false
-		}
-		if done || len(recs) < 60 {
-			break
-		}
-		start = recs[len(recs)-1].Key + "\x00"
-	}
-	if st.Count > 0 {
-		st.Avg = sum / float64(st.Count)
-	}
-	return st, nil
-}
-
-// GroupAvg aggregates the same metric kind across multiple hosts: the
-// "average CPU utilization of Web servers of type Y" query class of §2.
-func GroupAvg(p *sim.Proc, s store.Store, metrics []string, from, to int64) (float64, int, error) {
-	var sum float64
-	var n int
-	for _, m := range metrics {
-		st, err := Window(p, s, m, from, to)
-		if err != nil {
-			return 0, 0, err
-		}
-		sum += st.Avg * float64(st.Count)
-		n += st.Count
-	}
-	if n == 0 {
-		return 0, 0, nil
-	}
-	return sum / float64(n), n, nil
-}
-
 // IngestRate computes the paper's sizing arithmetic (§1, §8): hosts
 // reporting metricsPerHost measurements every intervalSec seconds.
 func IngestRate(hosts, metricsPerHost int, intervalSec int64) float64 {
@@ -255,46 +182,4 @@ func StorageNodesNeeded(ingestPerSec, perNodeThroughput float64, hosts int, budg
 	nodes = int(ingestPerSec/perNodeThroughput) + 1
 	budget := int(float64(hosts) * budgetFraction)
 	return nodes, nodes <= budget
-}
-
-// MonitoringLevel selects an agent's reporting detail (§3: "current APM
-// tools make it possible to define different monitoring levels ... that
-// result in different data rates").
-type MonitoringLevel int
-
-// Monitoring levels, in increasing data-rate order.
-const (
-	// Basic reports a coarse subset of metrics.
-	Basic MonitoringLevel = iota
-	// TransactionTrace adds per-transaction metrics.
-	TransactionTrace
-	// IncidentTriage reports everything the agent can observe.
-	IncidentTriage
-)
-
-// MetricFraction returns the share of an agent's metric catalog reported at
-// this level.
-func (l MonitoringLevel) MetricFraction() float64 {
-	switch l {
-	case Basic:
-		return 0.1
-	case TransactionTrace:
-		return 0.5
-	default:
-		return 1.0
-	}
-}
-
-// ReportAt produces the measurements for the interval ending at ts at the
-// given monitoring level: a deterministic prefix of the metric catalog.
-func (a *Agent) ReportAt(ts int64, level MonitoringLevel, rnd func() float64) []Measurement {
-	all := a.Report(ts, rnd)
-	n := int(float64(len(all)) * level.MetricFraction())
-	if n < 1 {
-		n = 1
-	}
-	if n > len(all) {
-		n = len(all)
-	}
-	return all[:n]
 }

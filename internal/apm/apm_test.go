@@ -6,10 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/cluster"
-	"repro/internal/sim"
 	"repro/internal/store"
-	"repro/internal/stores/hbase"
 )
 
 func TestKeyOrderedByTimestamp(t *testing.T) {
@@ -80,92 +77,6 @@ func TestAgentWalkEvolves(t *testing.T) {
 	}
 }
 
-func TestWindowAggregatesOverStore(t *testing.T) {
-	e := sim.NewEngine(1)
-	c := cluster.New(e, cluster.ClusterM(2).Scale(0.01))
-	s := hbase.New(c, hbase.Options{MemstoreFlushBytes: 64 << 10})
-	metric := "HostA/Agent/Component000/ConnectionCount"
-	// 60 samples at 10s resolution (the paper's 10-minute scan window).
-	for i := int64(0); i < 60; i++ {
-		m := Measurement{Metric: metric, Value: float64(i), Min: float64(i), Max: float64(i),
-			Timestamp: 1000 + i*10, Duration: 10}
-		if err := s.Load(m.Key(), m.Fields()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Another metric that must not leak into the window.
-	other := Measurement{Metric: "HostB/Agent/Component000/ConnectionCount",
-		Value: 1e9, Max: 1e9, Timestamp: 1200, Duration: 10}
-	s.Load(other.Key(), other.Fields())
-
-	e.Go("q", func(p *sim.Proc) {
-		st, err := Window(p, s, metric, 1000, 1590)
-		if err != nil {
-			t.Errorf("window: %v", err)
-			return
-		}
-		if st.Count != 60 {
-			t.Errorf("count = %d, want 60 (ten minutes at 10s resolution)", st.Count)
-		}
-		if st.Max != 59 {
-			t.Errorf("max = %f, want 59", st.Max)
-		}
-		if st.Avg < 29 || st.Avg > 30 {
-			t.Errorf("avg = %f, want 29.5", st.Avg)
-		}
-	})
-	e.Run(0)
-}
-
-func TestWindowRespectsBounds(t *testing.T) {
-	e := sim.NewEngine(1)
-	c := cluster.New(e, cluster.ClusterM(1).Scale(0.01))
-	s := hbase.New(c, hbase.Options{MemstoreFlushBytes: 64 << 10})
-	metric := "H/x"
-	for i := int64(0); i < 100; i++ {
-		m := Measurement{Metric: metric, Value: 1, Timestamp: i * 10, Duration: 10}
-		s.Load(m.Key(), m.Fields())
-	}
-	e.Go("q", func(p *sim.Proc) {
-		st, err := Window(p, s, metric, 200, 390)
-		if err != nil {
-			t.Errorf("window: %v", err)
-			return
-		}
-		if st.Count != 20 {
-			t.Errorf("count = %d, want 20 (only in-range samples)", st.Count)
-		}
-	})
-	e.Run(0)
-}
-
-func TestGroupAvgAcrossHosts(t *testing.T) {
-	e := sim.NewEngine(1)
-	c := cluster.New(e, cluster.ClusterM(2).Scale(0.01))
-	s := hbase.New(c, hbase.Options{MemstoreFlushBytes: 64 << 10})
-	metrics := []string{"Web1/CPU", "Web2/CPU"}
-	for i, metric := range metrics {
-		for ts := int64(0); ts < 100; ts += 10 {
-			m := Measurement{Metric: metric, Value: float64(10 * (i + 1)), Timestamp: ts, Duration: 10}
-			s.Load(m.Key(), m.Fields())
-		}
-	}
-	e.Go("q", func(p *sim.Proc) {
-		avg, n, err := GroupAvg(p, s, metrics, 0, 95)
-		if err != nil {
-			t.Errorf("group avg: %v", err)
-			return
-		}
-		if n != 20 {
-			t.Errorf("n = %d, want 20", n)
-		}
-		if avg != 15 {
-			t.Errorf("avg = %f, want 15 (mean of 10 and 20)", avg)
-		}
-	})
-	e.Run(0)
-}
-
 func TestIngestRateMatchesPaperScenario(t *testing.T) {
 	// §1: 10K nodes x 10K metrics / 10s = 10M measurements/sec.
 	if got := IngestRate(10000, 10000, 10); got != 10_000_000 {
@@ -202,25 +113,6 @@ func TestPropertyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMonitoringLevelsScaleDataRate(t *testing.T) {
-	a := NewAgent("H", 100, 10)
-	rng := rand.New(rand.NewSource(3))
-	basic := a.ReportAt(10, Basic, rng.Float64)
-	trace := a.ReportAt(20, TransactionTrace, rng.Float64)
-	triage := a.ReportAt(30, IncidentTriage, rng.Float64)
-	if len(basic) != 10 || len(trace) != 50 || len(triage) != 100 {
-		t.Fatalf("levels = %d/%d/%d, want 10/50/100", len(basic), len(trace), len(triage))
-	}
-}
-
-func TestMonitoringLevelMinimumOneMetric(t *testing.T) {
-	a := NewAgent("H", 3, 10)
-	rng := rand.New(rand.NewSource(4))
-	if got := a.ReportAt(10, Basic, rng.Float64); len(got) != 1 {
-		t.Fatalf("basic on 3 metrics = %d, want floor of 1", len(got))
-	}
-}
-
 func TestKeyMatchesReferenceFormat(t *testing.T) {
 	// The buffer-built key must reproduce the historical
 	// fmt.Sprintf("%s|%012d", metric, ts) format exactly, including
@@ -249,5 +141,17 @@ func BenchmarkMeasurementKey(b *testing.B) {
 		if len(m.Key()) == 0 {
 			b.Fatal("empty key")
 		}
+	}
+}
+
+func TestMetricNameMatchesAgent(t *testing.T) {
+	a := NewAgent("Host003", 12, 10)
+	for i, m := range a.Metrics {
+		if got := MetricName("Host003", i); got != m {
+			t.Fatalf("MetricName(%d) = %q, agent reports %q", i, got, m)
+		}
+	}
+	if got, want := MetricName("Host003", 7), "Host003/Agent/Component001/CPUUtilization"; got != want {
+		t.Fatalf("MetricName(7) = %q, want %q", got, want)
 	}
 }

@@ -12,9 +12,9 @@
 // layouts are interned in a slab.ShapeTable so uniform-schema records
 // pay no per-record header storage.
 //
-// Field bytes are COPIED on insert — the memtable owns its payload
-// memory — which is what lets callers reuse one fields buffer across
-// operations (see store.CopiesOnIngest).
+// Key and field bytes are COPIED on insert — the memtable owns its
+// payload memory — which is how the LSM stores meet the store.Store
+// ingest contract that lets callers reuse one buffer across operations.
 //
 // Ownership note: Get, Gather and iterators return views of the
 // memtable's slabs. A later Put that replaces a key with same-shaped

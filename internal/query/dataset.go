@@ -60,11 +60,10 @@ func (d Dataset) HostName(h int) string { return fmt.Sprintf("Host%03d", h) }
 
 // HostMetrics returns host h's metric names in key order.
 func (d Dataset) HostMetrics(h int) []string {
-	kinds := []string{"AverageResponseTime", "ConnectionCount", "CPUUtilization", "ErrorRate", "HeapUsage"}
 	host := d.HostName(h)
 	out := make([]string, 0, d.MetricsPerHost)
 	for i := 0; i < d.MetricsPerHost; i++ {
-		out = append(out, fmt.Sprintf("%s/Agent/Component%03d/%s", host, i/len(kinds), kinds[i%len(kinds)]))
+		out = append(out, apm.MetricName(host, i))
 	}
 	sort.Strings(out)
 	return out

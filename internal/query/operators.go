@@ -27,7 +27,7 @@ type Range struct {
 }
 
 // DefaultPageSize is the scan operator's page length: each page is one
-// store scan RPC, the same pagination apm.Window uses.
+// store scan RPC (the classic paginated range read).
 const DefaultPageSize = 60
 
 // ScanOp streams measurements from the store, one page-sized cursor at a

@@ -8,13 +8,16 @@ import (
 	"testing"
 
 	"repro/internal/apm"
+	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/stores/hbase"
 )
 
 // memStore is a minimal sorted in-memory Store for operator tests: every
 // scan charges a fixed small virtual cost (so closed-loop runs advance
 // simulated time) and serves records in key order like any real store.
+// Like every store, it copies key and field bytes before keeping them.
 type memStore struct {
 	keys []string
 	recs map[string]store.Fields
@@ -25,13 +28,14 @@ func newMemStore() *memStore { return &memStore{recs: map[string]store.Fields{}}
 func (m *memStore) Name() string { return "mem" }
 
 func (m *memStore) Load(key string, f store.Fields) error {
+	key = strings.Clone(key)
 	if _, ok := m.recs[key]; !ok {
 		i := sort.SearchStrings(m.keys, key)
 		m.keys = append(m.keys, "")
 		copy(m.keys[i+1:], m.keys[i:])
 		m.keys[i] = key
 	}
-	m.recs[key] = f
+	m.recs[key] = f.Clone()
 	return nil
 }
 
@@ -321,6 +325,98 @@ func TestScanOpPaginatesWithoutLoss(t *testing.T) {
 		if rows[i-1].Metric == rows[i].Metric && rows[i-1].Timestamp >= rows[i].Timestamp {
 			t.Fatalf("rows out of order at %d: %v then %v", i, rows[i-1], rows[i])
 		}
+	}
+}
+
+// windowOver runs a single-group dashboard spec over ranges on s and
+// returns its aggregates (nil when no sample falls in the window).
+func windowOver(t *testing.T, e *sim.Engine, s store.Store, spec Spec, ranges []Range) []float64 {
+	t.Helper()
+	q, err := Plan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var aggs []float64
+	e.Go("q", func(p *sim.Proc) {
+		rows, err := q.Execute(p, s, ranges)
+		if err != nil {
+			t.Errorf("execute: %v", err)
+			return
+		}
+		if len(rows) > 1 {
+			t.Errorf("GroupBy none returned %d rows", len(rows))
+			return
+		}
+		if len(rows) == 1 {
+			aggs = rows[0].Aggs
+		}
+	})
+	e.Run(0)
+	return aggs
+}
+
+// TestWindowAggregatesOverStore runs the §2 "maximum connections in the
+// last 10 minutes" query over an ordered store: one metric's window, with
+// a neighbouring series that must not leak in.
+func TestWindowAggregatesOverStore(t *testing.T) {
+	e := sim.NewEngine(1)
+	c := cluster.New(e, cluster.ClusterM(2).Scale(0.01))
+	s := hbase.New(c, hbase.Options{MemstoreFlushBytes: 64 << 10})
+	metric := "HostA/Agent/Component000/ConnectionCount"
+	// 60 samples at 10s resolution (the paper's 10-minute scan window).
+	for i := int64(0); i < 60; i++ {
+		m := apm.Measurement{Metric: metric, Value: float64(i), Min: float64(i), Max: float64(i),
+			Timestamp: 1000 + i*10, Duration: 10}
+		if err := s.Load(m.Key(), m.Fields()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	other := apm.Measurement{Metric: "HostB/Agent/Component000/ConnectionCount",
+		Value: 1e9, Max: 1e9, Timestamp: 1200, Duration: 10}
+	s.Load(other.Key(), other.Fields())
+
+	got := windowOver(t, e, s, Spec{Name: "q1", GroupBy: "none", Column: "max", Aggs: []string{"count", "max", "avg"}},
+		[]Range{{Metric: metric, From: 1000, To: 1590}})
+	if fmt.Sprint(got) != "[60 59 29.5]" {
+		t.Fatalf("count, max, avg = %v, want [60 59 29.5] (ten minutes at 10s resolution)", got)
+	}
+}
+
+// TestWindowRespectsBounds checks that only in-window samples count when
+// the series extends past the window on both sides.
+func TestWindowRespectsBounds(t *testing.T) {
+	e := sim.NewEngine(1)
+	c := cluster.New(e, cluster.ClusterM(1).Scale(0.01))
+	s := hbase.New(c, hbase.Options{MemstoreFlushBytes: 64 << 10})
+	metric := "H/x"
+	for i := int64(0); i < 100; i++ {
+		m := apm.Measurement{Metric: metric, Value: 1, Timestamp: i * 10, Duration: 10}
+		s.Load(m.Key(), m.Fields())
+	}
+	got := windowOver(t, e, s, Spec{Name: "q1", GroupBy: "none", Aggs: []string{"count"}},
+		[]Range{{Metric: metric, From: 200, To: 390}})
+	if fmt.Sprint(got) != "[20]" {
+		t.Fatalf("count = %v, want [20] (only in-range samples)", got)
+	}
+}
+
+// TestGroupAverageAcrossHosts runs the §2 "average CPU of web servers of
+// type Y" query: one metric kind over several hosts, averaged per sample.
+func TestGroupAverageAcrossHosts(t *testing.T) {
+	e := sim.NewEngine(1)
+	c := cluster.New(e, cluster.ClusterM(2).Scale(0.01))
+	s := hbase.New(c, hbase.Options{MemstoreFlushBytes: 64 << 10})
+	var ranges []Range
+	for i, metric := range []string{"Web1/CPU", "Web2/CPU"} {
+		for ts := int64(0); ts < 100; ts += 10 {
+			m := apm.Measurement{Metric: metric, Value: float64(10 * (i + 1)), Timestamp: ts, Duration: 10}
+			s.Load(m.Key(), m.Fields())
+		}
+		ranges = append(ranges, Range{Metric: metric, From: 0, To: 95})
+	}
+	got := windowOver(t, e, s, Spec{Name: "q2", GroupBy: "none", Aggs: []string{"count", "avg"}}, ranges)
+	if fmt.Sprint(got) != "[20 15]" {
+		t.Fatalf("count, avg = %v, want [20 15] (mean of 10 and 20)", got)
 	}
 }
 

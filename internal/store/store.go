@@ -117,9 +117,8 @@ func Key(i int64) string {
 // AppendKey appends record i's key to dst and returns the extended slice:
 // Key without the string allocation. Hot loops (the YCSB runner's
 // per-client operation loop, the load loop) keep one buffer and rebuild it
-// per operation; against stores that copy key bytes on ingest (see
-// CopiesOnIngest) that removes the last per-operation allocation of the
-// insert path.
+// per operation; since every Store copies key bytes on ingest, that removes
+// the last per-operation allocation of the insert path.
 func AppendKey(dst []byte, i int64) []byte {
 	var b [KeyBytes]byte
 	writeKey(&b, i)
@@ -164,10 +163,8 @@ func MakeFieldsSized(i int64, fieldBytes int) Fields {
 // dst has NumFields entries each with capacity for fieldBytes bytes, the
 // field patterns are written in place and no allocation happens. A nil or
 // mis-shaped dst is (re)built as a fresh slab. It returns the filled
-// buffer, which callers keep for the next record.
-//
-// Reusing one buffer across operations is only sound against stores that
-// copy field bytes on ingest — gate the reuse on CopiesOnIngest.
+// buffer, which callers keep for the next record. Reusing it across
+// operations is sound because every Store copies field bytes on ingest.
 func FillFields(dst Fields, i int64, fieldBytes int) Fields {
 	if fieldBytes <= 0 {
 		fieldBytes = FieldBytes
@@ -246,24 +243,11 @@ var ErrOverloaded = errors.New("store: node overloaded")
 // would not advance virtual time.
 var ErrUnavailable = errors.New("store: node unavailable")
 
-// IngestCopier is implemented by stores whose Insert/Update/Load paths
-// copy key and field bytes before retaining them (slab-backed engines:
-// their arenas own both), and whose Read/Scan paths do not retain the
-// lookup key at all. A store that retains any caller bytes past an
-// operation's return must clone them first (see the Cassandra async
-// replica) or must not implement the interface.
-type IngestCopier interface {
-	CopiesOnIngest() bool
-}
-
-// CopiesOnIngest reports whether s copies key and field bytes on ingest,
-// meaning a caller may reuse one FillFields buffer — and one AppendKey
-// buffer — across operations. Stores that do not declare the capability
-// are assumed to retain the caller's slices and strings.
-func CopiesOnIngest(s Store) bool {
-	c, ok := s.(IngestCopier)
-	return ok && c.CopiesOnIngest()
-}
+// CopiesOnIngest reports whether s copies key and field bytes on ingest.
+// Every Store does (see the Store contract), so it is always true. It
+// remains only because the perfbench tracing wrapper forwards it; nothing
+// in this module calls it.
+func CopiesOnIngest(Store) bool { return true }
 
 // Caps describes a store's read-side capabilities. Every scanning store
 // returns key-ordered results, so Scans also gates the analytic query layer
@@ -314,6 +298,14 @@ func SlabBytesOf(s Store) (int64, bool) {
 // Store is a simulated data store deployed across a cluster. All timed
 // methods run inside a simulation process and advance virtual time by the
 // full client-observed operation latency.
+//
+// Ingest contract: Insert, Update and Load copy key and field bytes before
+// keeping them, and Read and Scan never keep the lookup key. Callers may
+// therefore pass a key that is a view of a reused buffer (AppendKey under
+// unsafe.String) and one FillFields buffer for every write, and overwrite
+// both as soon as the call returns. A store that keeps caller bytes past
+// an operation's return — an asynchronous replica write, say — must clone
+// them first (Fields.Clone, strings.Clone).
 type Store interface {
 	// Name identifies the system ("cassandra", "hbase", ...).
 	Name() string

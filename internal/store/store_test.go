@@ -240,8 +240,8 @@ func TestAppendKeyMatchesKey(t *testing.T) {
 }
 
 // BenchmarkStoreAppendKey is BenchmarkStoreKey on the reused-buffer path
-// the YCSB runner's operation loop takes against copy-on-ingest stores:
-// zero allocations once the buffer exists.
+// the YCSB runner's operation loop takes: zero allocations once the
+// buffer exists.
 func BenchmarkStoreAppendKey(b *testing.B) {
 	buf := make([]byte, 0, KeyBytes)
 	b.ReportAllocs()

@@ -202,11 +202,6 @@ func New(c *cluster.Cluster, opts Options) *Store {
 // Name implements store.Store.
 func (s *Store) Name() string { return "cassandra" }
 
-// CopiesOnIngest implements store.IngestCopier: every write path lands in
-// an arena-backed memtable that copies field bytes (async replicas clone
-// before scheduling), so callers may reuse a fields buffer across writes.
-func (s *Store) CopiesOnIngest() bool { return true }
-
 // SlabBytes implements store.SlabReporter: the retained footprint of every
 // node's LSM tree (memtable arenas plus sstable slabs).
 func (s *Store) SlabBytes() int64 {

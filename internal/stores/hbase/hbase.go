@@ -186,11 +186,6 @@ func New(c *cluster.Cluster, opts Options) *Store {
 // Name implements store.Store.
 func (s *Store) Name() string { return "hbase" }
 
-// CopiesOnIngest implements store.IngestCopier: puts (buffered or not)
-// are applied to the region's arena-backed MemStore immediately, which
-// copies field bytes, so callers may reuse a fields buffer across writes.
-func (s *Store) CopiesOnIngest() bool { return true }
-
 // SlabBytes implements store.SlabReporter: the retained footprint of every
 // region's LSM tree (memstore arenas plus HFile slabs).
 func (s *Store) SlabBytes() int64 {

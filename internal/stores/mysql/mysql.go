@@ -182,11 +182,6 @@ func Default(c *cluster.Cluster) *Store {
 // Name implements store.Store.
 func (s *Store) Name() string { return "mysql" }
 
-// CopiesOnIngest implements store.IngestCopier: every write path lands in
-// the slab-backed B-tree, which copies key and field bytes into its own
-// arenas, so callers may reuse a fields buffer across writes.
-func (s *Store) CopiesOnIngest() bool { return true }
-
 // SlabBytes implements store.SlabReporter: the retained footprint of every
 // shard's B-tree slabs.
 func (s *Store) SlabBytes() int64 {

@@ -114,11 +114,6 @@ func New(c *cluster.Cluster, opts Options) *Store {
 // Name implements store.Store.
 func (s *Store) Name() string { return "redis" }
 
-// CopiesOnIngest implements store.IngestCopier: the instance's ordered
-// structure is an arena-backed memtable that copies field bytes, so
-// callers may reuse a fields buffer across writes.
-func (s *Store) CopiesOnIngest() bool { return true }
-
 // SlabBytes implements store.SlabReporter: the retained footprint of every
 // instance's memtable arenas.
 func (s *Store) SlabBytes() int64 {

@@ -6,6 +6,7 @@ package stores_test
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -304,6 +305,118 @@ func TestContractCursorChargesAtOpen(t *testing.T) {
 			if fmt.Sprint(drained) != fmt.Sprint(materialized) {
 				t.Fatalf("cursor drain and ScanAll diverge:\n cursor: %v\nscanall: %v", drained, materialized)
 			}
+		})
+	}
+}
+
+// TestContractCopiesOnIngest pins the store.Store ingest contract: writes
+// copy key and field bytes before keeping them, and reads never keep the
+// lookup key. Every call gets views of one reused key buffer and one
+// reused fields buffer, both overwritten with junk as soon as the call
+// returns; reading everything back must find no junk. Cassandra at
+// replication 3 covers the asynchronous replica writes, which land after
+// the client's Insert has returned.
+func TestContractCopiesOnIngest(t *testing.T) {
+	deploys := deployAll(t, 3)
+	deploys["cassandra-rf3"] = func() (*sim.Engine, store.Store) {
+		e := sim.NewEngine(1)
+		c := cluster.New(e, cluster.ClusterM(3).Scale(0.01))
+		return e, cassandra.New(c, cassandra.Options{MemtableFlushBytes: 64 << 10, ReplicationFactor: 3})
+	}
+	const loaded, total = 200, 400
+	for name, deploy := range deploys {
+		t.Run(name, func(t *testing.T) {
+			e, s := deploy()
+			var kb []byte
+			var fb store.Fields
+			key := func(i int64) string {
+				kb = store.AppendKey(kb[:0], i)
+				return unsafe.String(unsafe.SliceData(kb), len(kb))
+			}
+			fields := func(i int64) store.Fields {
+				fb = store.FillFields(fb, i, store.FieldBytes)
+				return fb
+			}
+			junk := func() {
+				for j := range kb {
+					kb[j] = '#'
+				}
+				for _, f := range fb {
+					for j := range f {
+						f[j] = '#'
+					}
+				}
+			}
+			byKey := map[string]int64{}
+			for i := int64(0); i < total; i++ {
+				byKey[store.Key(i)] = i
+			}
+			check := func(k string, got store.FieldsView) {
+				id, ok := byKey[k]
+				if !ok {
+					t.Errorf("store holds key %q, which no record wrote", k)
+					return
+				}
+				want := store.MakeFields(id)
+				if got.Len() != len(want) {
+					t.Errorf("record %d has %d fields, want %d", id, got.Len(), len(want))
+					return
+				}
+				for j := range want {
+					if string(got.Field(j)) != string(want[j]) {
+						t.Errorf("record %d field %d = %q, want %q", id, j, got.Field(j), want[j])
+					}
+				}
+			}
+
+			for i := int64(0); i < loaded; i++ {
+				if err := s.Load(key(i), fields(i)); err != nil {
+					t.Fatalf("load %d: %v", i, err)
+				}
+				junk()
+			}
+			e.Go("w", func(p *sim.Proc) {
+				for i := int64(loaded); i < total; i++ {
+					if err := s.Insert(p, key(i), fields(i)); err != nil {
+						t.Errorf("insert %d: %v", i, err)
+					}
+					junk()
+				}
+				for i := int64(0); i < loaded; i += 3 {
+					if err := s.Update(p, key(i), fields(i)); err != nil {
+						t.Errorf("update %d: %v", i, err)
+					}
+					junk()
+				}
+			})
+			e.Run(0) // lets asynchronous replica writes land
+
+			e.Go("r", func(p *sim.Proc) {
+				for i := int64(0); i < total; i++ {
+					got, err := s.Read(p, key(i))
+					junk()
+					if err != nil {
+						t.Errorf("read %d: %v", i, err)
+						continue
+					}
+					check(store.Key(i), got)
+				}
+				if !s.Caps().Scans {
+					return
+				}
+				recs, err := store.ScanAll(p, s, "", total)
+				if err != nil {
+					t.Errorf("scan: %v", err)
+					return
+				}
+				if len(recs) == 0 {
+					t.Error("scan from the first key returned nothing")
+				}
+				for _, r := range recs {
+					check(r.Key, r.Fields)
+				}
+			})
+			e.Run(0)
 		})
 	}
 }

@@ -130,11 +130,6 @@ func New(c *cluster.Cluster, opts Options) *Store {
 // Name implements store.Store.
 func (s *Store) Name() string { return "voldemort" }
 
-// CopiesOnIngest implements store.IngestCopier: the embedded B-tree copies
-// key and field bytes into its own slabs, so callers may reuse a fields
-// buffer across writes.
-func (s *Store) CopiesOnIngest() bool { return true }
-
 // SlabBytes implements store.SlabReporter: the retained footprint of every
 // server's B-tree slabs.
 func (s *Store) SlabBytes() int64 {

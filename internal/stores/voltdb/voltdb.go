@@ -107,11 +107,6 @@ func New(c *cluster.Cluster, opts Options) *Store {
 // Name implements store.Store.
 func (s *Store) Name() string { return "voltdb" }
 
-// CopiesOnIngest implements store.IngestCopier: each site's partition
-// data is an arena-backed memtable that copies field bytes, so callers
-// may reuse a fields buffer across writes.
-func (s *Store) CopiesOnIngest() bool { return true }
-
 // SlabBytes implements store.SlabReporter: the retained footprint of every
 // site's memtable arenas.
 func (s *Store) SlabBytes() int64 {
