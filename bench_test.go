@@ -1,6 +1,6 @@
 // Benchmarks that regenerate every table and figure of the paper's
 // evaluation (one testing.B benchmark per exhibit), plus ablation benches
-// for the design choices DESIGN.md calls out.
+// for the paper's design choices (internal/harness/ablations.go).
 //
 // Each benchmark executes its figure end to end — deploy, load, warm up,
 // measure — on the quick configuration (scale 1/1000, 1/2/4 nodes), and
@@ -38,13 +38,13 @@ var benchRunner = harness.NewRunner(harness.Config{
 	RecordsPerNode: 10_000_000,
 })
 
-// runFigureBench executes the figure generator b.N times and reports the
-// mean of the last series' final Y value.
-func runFigureBench(b *testing.B, gen func() (harness.Figure, error), metricName string) {
+// runFigureBench generates figure or ablation id b.N times and reports
+// the first series' final Y value.
+func runFigureBench(b *testing.B, id, metricName string) {
 	b.Helper()
 	var last float64
 	for i := 0; i < b.N; i++ {
-		fig, err := gen()
+		fig, err := benchRunner.Figure(id)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -65,99 +65,99 @@ func BenchmarkTable1Workloads(b *testing.B) {
 }
 
 func BenchmarkFig03ThroughputR(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig3, "cassandra_ops/s")
+	runFigureBench(b, "3", "cassandra_ops/s")
 }
 
 func BenchmarkFig04ReadLatencyR(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig4, "cassandra_read_ms")
+	runFigureBench(b, "4", "cassandra_read_ms")
 }
 
 func BenchmarkFig05WriteLatencyR(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig5, "cassandra_write_ms")
+	runFigureBench(b, "5", "cassandra_write_ms")
 }
 
 func BenchmarkFig06ThroughputRW(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig6, "cassandra_ops/s")
+	runFigureBench(b, "6", "cassandra_ops/s")
 }
 
 func BenchmarkFig07ReadLatencyRW(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig7, "cassandra_read_ms")
+	runFigureBench(b, "7", "cassandra_read_ms")
 }
 
 func BenchmarkFig08WriteLatencyRW(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig8, "cassandra_write_ms")
+	runFigureBench(b, "8", "cassandra_write_ms")
 }
 
 func BenchmarkFig09ThroughputW(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig9, "cassandra_ops/s")
+	runFigureBench(b, "9", "cassandra_ops/s")
 }
 
 func BenchmarkFig10ReadLatencyW(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig10, "cassandra_read_ms")
+	runFigureBench(b, "10", "cassandra_read_ms")
 }
 
 func BenchmarkFig11WriteLatencyW(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig11, "cassandra_write_ms")
+	runFigureBench(b, "11", "cassandra_write_ms")
 }
 
 func BenchmarkFig12ThroughputRS(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig12, "cassandra_ops/s")
+	runFigureBench(b, "12", "cassandra_ops/s")
 }
 
 func BenchmarkFig13ScanLatencyRS(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig13, "cassandra_scan_ms")
+	runFigureBench(b, "13", "cassandra_scan_ms")
 }
 
 func BenchmarkFig14ThroughputRSW(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig14, "cassandra_ops/s")
+	runFigureBench(b, "14", "cassandra_ops/s")
 }
 
 func BenchmarkFig15BoundedReadLatency(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig15, "cassandra_norm")
+	runFigureBench(b, "15", "cassandra_norm")
 }
 
 func BenchmarkFig16BoundedWriteLatency(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig16, "cassandra_norm")
+	runFigureBench(b, "16", "cassandra_norm")
 }
 
 func BenchmarkFig17DiskUsage(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig17, "cassandra_gb")
+	runFigureBench(b, "17", "cassandra_gb")
 }
 
 func BenchmarkFig18ClusterDThroughput(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig18, "cassandra_ops/s")
+	runFigureBench(b, "18", "cassandra_ops/s")
 }
 
 func BenchmarkFig19ClusterDReadLatency(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig19, "cassandra_read_ms")
+	runFigureBench(b, "19", "cassandra_read_ms")
 }
 
 func BenchmarkFig20ClusterDWriteLatency(b *testing.B) {
-	runFigureBench(b, benchRunner.Fig20, "cassandra_write_ms")
+	runFigureBench(b, "20", "cassandra_write_ms")
 }
 
 func BenchmarkAblationCassandraTokens(b *testing.B) {
-	runFigureBench(b, benchRunner.Ablations()["ablation-cassandra-tokens"], "optimal_ops/s")
+	runFigureBench(b, "ablation-cassandra-tokens", "optimal_ops/s")
 }
 
 func BenchmarkAblationRedisSharding(b *testing.B) {
-	runFigureBench(b, benchRunner.Ablations()["ablation-redis-sharding"], "jedis_ops/s")
+	runFigureBench(b, "ablation-redis-sharding", "jedis_ops/s")
 }
 
 func BenchmarkAblationMySQLBinlog(b *testing.B) {
-	runFigureBench(b, benchRunner.Ablations()["ablation-mysql-binlog"], "binlog_gb")
+	runFigureBench(b, "ablation-mysql-binlog", "binlog_gb")
 }
 
 func BenchmarkAblationHBaseAutoflush(b *testing.B) {
-	runFigureBench(b, benchRunner.Ablations()["ablation-hbase-autoflush"], "buffered_ops/s")
+	runFigureBench(b, "ablation-hbase-autoflush", "buffered_ops/s")
 }
 
 func BenchmarkAblationVoltDBAsync(b *testing.B) {
-	runFigureBench(b, benchRunner.Ablations()["ablation-voltdb-async"], "sync_ops/s")
+	runFigureBench(b, "ablation-voltdb-async", "sync_ops/s")
 }
 
 func BenchmarkAblationCassandraCommitlog(b *testing.B) {
-	runFigureBench(b, benchRunner.Ablations()["ablation-cassandra-commitlog"], "write_ms")
+	runFigureBench(b, "ablation-cassandra-commitlog", "write_ms")
 }
 
 // BenchmarkSingleOps measures the per-operation simulation cost for each
@@ -390,11 +390,11 @@ func BenchmarkScanGather(b *testing.B) {
 }
 
 func BenchmarkAblationCassandraReplication(b *testing.B) {
-	runFigureBench(b, benchRunner.Ablations()["ablation-cassandra-replication"], "rf1_ops/s")
+	runFigureBench(b, "ablation-cassandra-replication", "rf1_ops/s")
 }
 
 func BenchmarkAblationCassandraCompression(b *testing.B) {
-	runFigureBench(b, benchRunner.Ablations()["ablation-cassandra-compression"], "tput_off_ops/s")
+	runFigureBench(b, "ablation-cassandra-compression", "tput_off_ops/s")
 }
 
 // benchRunAllFig3 measures end-to-end cell execution for Fig 3's plan (18

@@ -26,7 +26,7 @@
 // figures; see examples/scenarios/.
 //
 // The -scale flag multiplies record counts and node RAM/disk together, so
-// memory-vs-disk behaviour matches the paper at any scale; see DESIGN.md.
+// memory-vs-disk behaviour matches the paper at any scale.
 //
 // Cells execute on a worker pool (-parallel, default GOMAXPROCS). Each
 // cell's seed derives from the seed plus the cell's identity, so output is
@@ -36,11 +36,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 
 	"repro"
@@ -137,12 +139,17 @@ func main() {
 		}()
 	}
 
+	nodeCounts, err := parseNodes(*nodes)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "apmbench: -nodes: %v\n", err)
+		os.Exit(2)
+	}
 	cfg := harness.Config{
 		Scale:       *scale,
 		Measure:     sim.Time(*measure * float64(sim.Second)),
 		Warmup:      sim.Time(*warmup * float64(sim.Second)),
 		Seed:        *seed,
-		NodeCounts:  parseNodes(*nodes),
+		NodeCounts:  nodeCounts,
 		Repetitions: *reps,
 	}
 	outputFormat = *format
@@ -211,7 +218,7 @@ func main() {
 
 	if *list {
 		fmt.Println("figures: table1", strings.Join(harness.FigureOrder, " "))
-		fmt.Println("ablations:", strings.Join(ablationNames(r), " "))
+		fmt.Println("ablations:", strings.Join(harness.AblationOrder, " "))
 		fmt.Println("extras: apm-dashboard")
 		return
 	}
@@ -226,68 +233,43 @@ func main() {
 		return
 	}
 
+	var ids []string
 	switch *figure {
 	case "table1":
 		fmt.Print(harness.Table1())
+		return
 	case "all":
 		fmt.Print(harness.Table1())
 		fmt.Println()
-		// Plan every figure's cells and execute them as one batch: cells
-		// shared between figures (e.g. Figs 3/4/5) run once, and the
-		// worker pool sees the widest possible schedule. Figure
-		// generation below then reads from the warm cache.
-		if err := r.Prewarm(harness.FigureOrder...); err != nil {
-			fmt.Fprintf(os.Stderr, "apmbench: %v\n", err)
-			os.Exit(1)
-		}
-		for _, id := range harness.FigureOrder {
-			runFigure(r, id)
-			fmt.Println()
-		}
+		ids = harness.FigureOrder
 	case "ablation-all":
-		// Plan every ablation's cells as one batch: cells shared between
-		// ablations (and with any already-cached figure cells) run once,
-		// and the worker pool sees the widest possible schedule.
-		if err := r.Prewarm(harness.AblationOrder...); err != nil {
-			fmt.Fprintf(os.Stderr, "apmbench: %v\n", err)
-			os.Exit(1)
-		}
-		for _, name := range harness.AblationOrder {
-			runAblation(r, name)
-			fmt.Println()
-		}
+		ids = harness.AblationOrder
 	default:
-		if *figure == "apm-dashboard" {
-			// The analytic-read extra: a built-in query scenario, kept out
-			// of FigureOrder so `-figure all` output stays byte-stable.
-			fig, err := r.RunScenario(harness.APMDashboard(r.Cfg.NodeCounts))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "apmbench: %s: %v\n", *figure, err)
-				os.Exit(1)
-			}
-			emit(fig)
-			return
-		}
-		if strings.HasPrefix(*figure, "ablation-") {
-			runAblation(r, *figure)
-			return
-		}
-		var ids []string
+		// Figure ids, ablation ids and apm-dashboard alike.
 		for _, id := range strings.Split(*figure, ",") {
 			ids = append(ids, strings.TrimSpace(id))
 		}
-		// Batch-execute the requested figures' combined cell set so shared
-		// cells run once and the pool stays full — even for one figure,
-		// whose generator would otherwise run cells with less parallelism
-		// than the pool (and, under -serve, starve the farm's workers).
-		// Errors are deliberately dropped: runFigure below re-resolves
-		// each figure and reports unknown ids and cell failures with
-		// their usual messages.
-		_ = r.Prewarm(ids...)
-		for _, id := range ids {
-			runFigure(r, id)
-			fmt.Println()
+	}
+	// Plan every requested figure's cells and execute them as one batch:
+	// cells shared between figures (e.g. Figs 3/4/5, or an ablation's
+	// paper-default series) run once, and the worker pool — under -serve,
+	// the farm — sees the widest possible schedule. Figure generation
+	// below then reads from the warm cache.
+	if err := r.Prewarm(ids...); errors.Is(err, harness.ErrUnknownFigure) {
+		fmt.Fprintf(os.Stderr, "apmbench: %v (try -list)\n", err)
+		os.Exit(2)
+	} else if err != nil {
+		fmt.Fprintf(os.Stderr, "apmbench: %v\n", err)
+		os.Exit(1)
+	}
+	for _, id := range ids {
+		fig, err := r.Figure(id)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "apmbench: figure %s: %v\n", id, err)
+			os.Exit(1)
 		}
+		emit(fig)
+		fmt.Println()
 	}
 }
 
@@ -327,45 +309,28 @@ func runWorker(addr string, parallel int, cacheDir string, cacheMax int64) {
 	}
 }
 
-func parseNodes(s string) []int {
+// parseNodes parses the comma-separated -nodes sweep. Every entry must be
+// a positive integer: a typo fails the run rather than silently narrowing
+// (or, when nothing parses, widening) the sweep.
+func parseNodes(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &n); err == nil && n > 0 {
-			out = append(out, n)
+		n, err := parseNodeCount(part)
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, n)
 	}
-	return out
+	return out, nil
 }
 
-func runFigure(r *harness.Runner, id string) {
-	gen, ok := r.Figures()[id]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "apmbench: unknown figure %q (try -list)\n", id)
-		os.Exit(2)
+// parseNodeCount parses one node count: a positive integer.
+func parseNodeCount(s string) (int, error) {
+	n, err := strconv.Atoi(strings.TrimSpace(s))
+	if err != nil || n < 1 {
+		return 0, fmt.Errorf("bad node count %q (want a positive integer)", s)
 	}
-	fig, err := gen()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "apmbench: figure %s: %v\n", id, err)
-		os.Exit(1)
-	}
-	emit(fig)
-}
-
-func ablationNames(r *harness.Runner) []string { return harness.AblationOrder }
-
-func runAblation(r *harness.Runner, name string) {
-	gen, ok := r.Ablations()[name]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "apmbench: unknown ablation %q (try -list)\n", name)
-		os.Exit(2)
-	}
-	fig, err := gen()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "apmbench: %s: %v\n", name, err)
-		os.Exit(1)
-	}
-	emit(fig)
+	return n, nil
 }
 
 // outputFormat is set from -format in main.
@@ -408,9 +373,9 @@ func runExplain(r *harness.Runner, spec string) {
 		fmt.Fprintln(os.Stderr, "apmbench: -explain wants system:nodes:workload[:D]")
 		os.Exit(2)
 	}
-	var nodes int
-	if _, err := fmt.Sscanf(parts[1], "%d", &nodes); err != nil || nodes < 1 {
-		fmt.Fprintf(os.Stderr, "apmbench: bad node count %q\n", parts[1])
+	nodes, err := parseNodeCount(parts[1])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "apmbench: -explain: %v\n", err)
 		os.Exit(2)
 	}
 	cell := harness.Cell{

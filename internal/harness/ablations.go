@@ -1,21 +1,17 @@
 package harness
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "fmt"
 
 // Ablations compare a paper-documented design choice against its
-// alternative (DESIGN.md §5). Since the scenario refactor every ablation is
-// declarative: it states its measurement grid as []Cell (each cell carrying
-// the design choice as a Variants string resolved by DeployVariants) and
-// executes it through Runner.RunAll, exactly like the figures. That buys
-// the ablations the figures' execution contract for free: the singleflight
-// cell cache (cells shared with figures or between ablations — e.g. the
-// paper-default series — measure once per runner), stable hashed seeds
-// (results are schedule-independent, so -parallel N output is
-// byte-identical), plan-ordered progress lines, and Prewarm batching across
+// alternative; each row of the table below notes the paper observation it
+// reproduces. Every ablation plans like a figure, each cell carrying the
+// design choice as a Variants string resolved by DeployVariants, and
+// executes through Runner.RunAll. That buys the ablations the figures'
+// execution contract for free: the singleflight cell cache (cells shared
+// with figures or between ablations — e.g. the paper-default series —
+// measure once per runner), stable hashed seeds (results are
+// schedule-independent, so -parallel N output is byte-identical),
+// plan-ordered progress lines, and Prewarm batching across
 // `-figure ablation-all`.
 //
 // Behavior note: moving the ablations onto the hashed per-cell seed scheme
@@ -23,421 +19,132 @@ import (
 // old closure-built variant runner used) shifted every ablation's numbers
 // once, the same one-time shift the figures took in PR 2.
 
-// ablationSpec declares one ablation: its full cell grid (for planning)
-// and the figure assembly (pure cache reads after RunAll).
-type ablationSpec struct {
-	id    string
-	cells func(r *Runner) []Cell
-	build func(r *Runner) (Figure, error)
+// ablation declares one design-choice ablation on one system: lines of
+// cells, each line plotted once per metric.
+type ablation struct {
+	id, title, xLabel, yLabel string
+	sys                       System
+	workload                  string // "" plans load-only cells: disk usage needs no run
+	// A node sweep plots one line per variant over the configured node
+	// counts of at least minNodes.
+	variants []variant
+	minNodes int
+	// A knob sweep plots one line on knobNodes nodes instead, with the
+	// variant knob=v at X = v for each value.
+	knob      string
+	knobNodes int
+	values    []int
+	// metrics plots each line once per metric, labeled the metric's label
+	// followed by the line's.
+	metrics []labeledMetric
 }
 
-// ablationSpecs lists every ablation in display order.
-var ablationSpecs = []ablationSpec{
-	{"ablation-cassandra-tokens", (*Runner).cellsCassandraTokens, (*Runner).buildCassandraTokens},
-	{"ablation-cassandra-commitlog", (*Runner).cellsCassandraCommitlog, (*Runner).buildCassandraCommitlog},
-	{"ablation-cassandra-replication", (*Runner).cellsCassandraReplication, (*Runner).buildCassandraReplication},
-	{"ablation-cassandra-compression", (*Runner).cellsCassandraCompression, (*Runner).buildCassandraCompression},
-	{"ablation-connections", (*Runner).cellsConnections, (*Runner).buildConnections},
-	{"ablation-hbase-autoflush", (*Runner).cellsHBaseAutoflush, (*Runner).buildHBaseAutoflush},
-	{"ablation-mysql-binlog", (*Runner).cellsMySQLBinlog, (*Runner).buildMySQLBinlog},
-	{"ablation-redis-sharding", (*Runner).cellsRedisSharding, (*Runner).buildRedisSharding},
-	{"ablation-voltdb-async", (*Runner).cellsVoltDBAsync, (*Runner).buildVoltDBAsync},
+type variant struct{ label, variants string }
+
+type labeledMetric struct {
+	label string
+	m     metric
+}
+
+var tputOnly = []labeledMetric{{"", throughputMetric}}
+
+// ablations lists every ablation in display order.
+var ablations = []ablation{
+	// Cassandra, §6: random tokens "frequently resulted in a highly
+	// unbalanced workload"; placement is moot on one node.
+	{id: "ablation-cassandra-tokens", title: "Cassandra: optimal vs random token assignment (Workload R)",
+		xLabel: "nodes", yLabel: "ops/sec", sys: Cassandra, workload: "R", minNodes: 2,
+		variants: []variant{{"optimal-tokens", ""}, {"random-tokens", "tokens=random"}}, metrics: tputOnly},
+	// Cassandra: sweep the batch group-commit window writers wait for,
+	// isolating the source of Cassandra's high write latency in the
+	// reproduction.
+	{id: "ablation-cassandra-commitlog", title: "Cassandra: commit log batch window vs write latency (Workload RW, 4 nodes)",
+		xLabel: "window ms", yLabel: "write latency ms", sys: Cassandra, workload: "RW",
+		knob: "commitlog", knobNodes: 4, values: []int{2, 5, 10, 18, 30},
+		metrics: []labeledMetric{{"write-latency", writeLatMetric}}},
+	// Cassandra, §8 future work: RF=1 (the paper's unreplicated run, so the
+	// default deployment) vs RF=3 at consistency ONE and ALL; RF=3 needs at
+	// least 3 nodes for distinct replicas.
+	{id: "ablation-cassandra-replication", title: "Cassandra: replication factor vs throughput (Workload W)",
+		xLabel: "nodes", yLabel: "ops/sec", sys: Cassandra, workload: "W", minNodes: 3,
+		variants: []variant{{"rf1", ""}, {"rf3-one", "replication=3,consistency=one"}, {"rf3-all", "replication=3,consistency=all"}},
+		metrics:  tputOnly},
+	// Cassandra, §5.7: "the disk usage can be reduced by using compression
+	// which, however, will decrease the throughput". Each variant plots a
+	// throughput and a disk series from the same cells.
+	{id: "ablation-cassandra-compression", title: "Cassandra: compression off vs on (Workload R, disk + throughput)",
+		xLabel: "nodes", yLabel: "ops/sec (tput series) / GB (disk series)", sys: Cassandra, workload: "R",
+		variants: []variant{{"off", ""}, {"on", "compression=on"}},
+		metrics:  []labeledMetric{{"tput-", throughputMetric}, {"disk-", diskGBMetric}}},
+	// §8 tuning observation: too few client connections leave a 4-node
+	// Cassandra cluster underutilized, too many congest it and inflate
+	// latency without throughput gains.
+	{id: "ablation-connections", title: "Connections per node vs throughput and read latency (Cassandra, 4 nodes, Workload R)",
+		xLabel: "conns/node", yLabel: "ops/sec (tput) / ms (latency)", sys: Cassandra, workload: "R",
+		knob: "conns", knobNodes: 4, values: []int{8, 32, 64, 128, 256, 512},
+		metrics: []labeledMetric{{"throughput", throughputMetric}, {"read-latency-ms", readLatMetric}}},
+	// HBase: the client write buffer (deferred flush) against per-put RPCs
+	// on the write-heavy workload.
+	{id: "ablation-hbase-autoflush", title: "HBase: client write buffer vs autoflush (Workload W)",
+		xLabel: "nodes", yLabel: "ops/sec", sys: HBase, workload: "W",
+		variants: []variant{{"write-buffer", ""}, {"autoflush", "autoflush=on"}}, metrics: tputOnly},
+	// MySQL, §5.7: "without this feature the disk usage is essentially
+	// reduced by half".
+	{id: "ablation-mysql-binlog", title: "MySQL: disk usage with and without binary log",
+		xLabel: "nodes", yLabel: "GB (paper scale)", sys: MySQL,
+		variants: []variant{{"binlog-on", ""}, {"binlog-off", "binlog=off"}},
+		metrics:  []labeledMetric{{"", diskGBMetric}}},
+	// Redis, §5.1: with the Jedis ring "the data distribution is
+	// unbalanced".
+	{id: "ablation-redis-sharding", title: "Redis: Jedis ring vs balanced sharding (Workload R)",
+		xLabel: "nodes", yLabel: "ops/sec", sys: Redis, workload: "R",
+		variants: []variant{{"jedis-ring", ""}, {"balanced", "sharding=balanced"}}, metrics: tputOnly},
+	// VoltDB, §6: Hugg's asynchronous benchmark "achieved a speed-up with a
+	// fixed sized database", unlike the paper's synchronous client.
+	{id: "ablation-voltdb-async", title: "VoltDB: synchronous vs asynchronous client (Workload R)",
+		xLabel: "nodes", yLabel: "ops/sec", sys: VoltDB, workload: "R",
+		variants: []variant{{"sync-client", ""}, {"async-client", "async=on"}}, metrics: tputOnly},
 }
 
 // AblationOrder lists ablation IDs in display order.
 var AblationOrder = func() []string {
-	ids := make([]string, len(ablationSpecs))
-	for i, s := range ablationSpecs {
-		ids[i] = s.id
+	ids := make([]string, len(ablations))
+	for i, a := range ablations {
+		ids[i] = a.id
 	}
 	return ids
 }()
 
-func ablationSpecFor(id string) (ablationSpec, bool) {
-	for _, s := range ablationSpecs {
-		if s.id == id {
-			return s, true
+// plan lays the ablation's lines out under cfg.
+func (a ablation) plan(cfg Config) plan {
+	var lines []planSeries
+	if a.knob != "" {
+		var l planSeries
+		for _, v := range a.values {
+			l.cells = append(l.cells, Cell{System: a.sys, Nodes: a.knobNodes, Workload: a.workload,
+				Variants: fmt.Sprintf("%s=%d", a.knob, v)})
+			l.xs = append(l.xs, float64(v))
+		}
+		lines = append(lines, l)
+	}
+	var nodes []int
+	for _, n := range cfg.NodeCounts {
+		if n >= a.minNodes {
+			nodes = append(nodes, n)
 		}
 	}
-	return ablationSpec{}, false
-}
-
-// AblationCellsFor returns every cell the named ablation measures, nil for
-// unknown names. Like CellsFor, the grid is complete: generating the
-// ablation after RunAll(AblationCellsFor(id)) executes zero extra cells.
-func (r *Runner) AblationCellsFor(id string) []Cell {
-	spec, ok := ablationSpecFor(id)
-	if !ok {
-		return nil
+	for _, v := range a.variants {
+		lines = append(lines, nodeSeries(v.label, nodes, nil, func(n int) Cell {
+			return Cell{System: a.sys, Nodes: n, Workload: a.workload, LoadOnly: a.workload == "", Variants: v.variants}
+		}))
 	}
-	return spec.cells(r)
-}
-
-// Ablations maps ablation IDs to their generators. Each generator plans
-// its grid, executes it on the worker pool, and assembles the figure from
-// the warm cache.
-func (r *Runner) Ablations() map[string]func() (Figure, error) {
-	out := make(map[string]func() (Figure, error), len(ablationSpecs))
-	for _, spec := range ablationSpecs {
-		spec := spec
-		out[spec.id] = func() (Figure, error) {
-			if err := r.RunAll(spec.cells(r)); err != nil {
-				return Figure{}, fmt.Errorf("%s: %w", spec.id, err)
-			}
-			return spec.build(r)
+	p := plan{id: a.id, title: a.title, xLabel: a.xLabel, yLabel: a.yLabel}
+	for _, l := range lines {
+		for _, m := range a.metrics {
+			s := l
+			s.label, s.m = m.label+l.label, m.m
+			p.series = append(p.series, s)
 		}
 	}
-	return out
-}
-
-// variantSeries assembles one figure series from cached cells: X from xs,
-// Y through m.
-func (r *Runner) variantSeries(label string, cells []Cell, xs []float64, m metric) (Series, error) {
-	s := Series{Label: label}
-	for i, c := range cells {
-		res, err := r.Run(c)
-		if err != nil {
-			return Series{}, fmt.Errorf("cell %s: %w", r.key(c), err)
-		}
-		s.X = append(s.X, xs[i])
-		s.Y = append(s.Y, m(res))
-	}
-	return s, nil
-}
-
-// nodeGrid builds one (cells, xs) sweep over the configured node counts
-// (filtered by keep) for a fixed workload and variant combo.
-func (r *Runner) nodeGrid(sys System, wl string, variants string, keep func(int) bool) ([]Cell, []float64) {
-	var cells []Cell
-	var xs []float64
-	for _, n := range r.Cfg.NodeCounts {
-		if keep != nil && !keep(n) {
-			continue
-		}
-		cells = append(cells, Cell{System: sys, Nodes: n, Workload: wl, Variants: variants})
-		xs = append(xs, float64(n))
-	}
-	return cells, xs
-}
-
-// --- Cassandra: optimal vs random token assignment (§6) ---
-
-// tokenVariants: random tokens "frequently resulted in a highly unbalanced
-// workload"; placement is moot on one node.
-var tokenVariants = []struct{ label, variants string }{
-	{"optimal-tokens", ""},
-	{"random-tokens", "tokens=random"},
-}
-
-func (r *Runner) cellsCassandraTokens() []Cell {
-	var cells []Cell
-	for _, v := range tokenVariants {
-		grid, _ := r.nodeGrid(Cassandra, "R", v.variants, func(n int) bool { return n > 1 })
-		cells = append(cells, grid...)
-	}
-	return cells
-}
-
-func (r *Runner) buildCassandraTokens() (Figure, error) {
-	fig := Figure{ID: "ablation-cassandra-tokens",
-		Title: "Cassandra: optimal vs random token assignment (Workload R)", XLabel: "nodes", YLabel: "ops/sec"}
-	for _, v := range tokenVariants {
-		cells, xs := r.nodeGrid(Cassandra, "R", v.variants, func(n int) bool { return n > 1 })
-		s, err := r.variantSeries(v.label, cells, xs, throughputMetric)
-		if err != nil {
-			return Figure{}, err
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
-}
-
-// --- Cassandra: commit log batch window vs write latency ---
-
-// commitlogWindowsMs sweeps the batch group-commit window writers wait for,
-// isolating the source of Cassandra's high write latency in the
-// reproduction.
-var commitlogWindowsMs = []int{2, 5, 10, 18, 30}
-
-func (r *Runner) commitlogGrid() ([]Cell, []float64) {
-	var cells []Cell
-	var xs []float64
-	for _, ms := range commitlogWindowsMs {
-		cells = append(cells, Cell{System: Cassandra, Nodes: 4, Workload: "RW",
-			Variants: fmt.Sprintf("commitlog=%d", ms)})
-		xs = append(xs, float64(ms))
-	}
-	return cells, xs
-}
-
-func (r *Runner) cellsCassandraCommitlog() []Cell {
-	cells, _ := r.commitlogGrid()
-	return cells
-}
-
-func (r *Runner) buildCassandraCommitlog() (Figure, error) {
-	fig := Figure{ID: "ablation-cassandra-commitlog",
-		Title:  "Cassandra: commit log batch window vs write latency (Workload RW, 4 nodes)",
-		XLabel: "window ms", YLabel: "write latency ms"}
-	cells, xs := r.commitlogGrid()
-	s, err := r.variantSeries("write-latency", cells, xs, writeLatMetric)
-	if err != nil {
-		return Figure{}, err
-	}
-	fig.Series = append(fig.Series, s)
-	return fig, nil
-}
-
-// --- Cassandra: replication factor vs throughput (§8 future work) ---
-
-// replicationVariants: RF=1 (the paper's unreplicated run, so the default
-// deployment) vs RF=3 at consistency ONE and ALL; RF=3 needs at least 3
-// nodes for distinct replicas.
-var replicationVariants = []struct{ label, variants string }{
-	{"rf1", ""},
-	{"rf3-one", "replication=3,consistency=one"},
-	{"rf3-all", "replication=3,consistency=all"},
-}
-
-func (r *Runner) cellsCassandraReplication() []Cell {
-	var cells []Cell
-	for _, v := range replicationVariants {
-		grid, _ := r.nodeGrid(Cassandra, "W", v.variants, func(n int) bool { return n >= 3 })
-		cells = append(cells, grid...)
-	}
-	return cells
-}
-
-func (r *Runner) buildCassandraReplication() (Figure, error) {
-	fig := Figure{ID: "ablation-cassandra-replication",
-		Title: "Cassandra: replication factor vs throughput (Workload W)", XLabel: "nodes", YLabel: "ops/sec"}
-	for _, v := range replicationVariants {
-		cells, xs := r.nodeGrid(Cassandra, "W", v.variants, func(n int) bool { return n >= 3 })
-		s, err := r.variantSeries(v.label, cells, xs, throughputMetric)
-		if err != nil {
-			return Figure{}, err
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
-}
-
-// --- Cassandra: compression off vs on (§5.7) ---
-
-// compressionVariants: "the disk usage can be reduced by using compression
-// which, however, will decrease the throughput". Each variant plots a
-// throughput and a disk series from the same cells.
-var compressionVariants = []struct{ label, variants string }{
-	{"off", ""},
-	{"on", "compression=on"},
-}
-
-func (r *Runner) cellsCassandraCompression() []Cell {
-	var cells []Cell
-	for _, v := range compressionVariants {
-		grid, _ := r.nodeGrid(Cassandra, "R", v.variants, nil)
-		cells = append(cells, grid...)
-	}
-	return cells
-}
-
-func (r *Runner) buildCassandraCompression() (Figure, error) {
-	fig := Figure{ID: "ablation-cassandra-compression",
-		Title: "Cassandra: compression off vs on (Workload R, disk + throughput)", XLabel: "nodes",
-		YLabel: "ops/sec (tput series) / GB (disk series)"}
-	for _, v := range compressionVariants {
-		cells, xs := r.nodeGrid(Cassandra, "R", v.variants, nil)
-		tput, err := r.variantSeries("tput-"+v.label, cells, xs, throughputMetric)
-		if err != nil {
-			return Figure{}, err
-		}
-		disk, err := r.variantSeries("disk-"+v.label, cells, xs,
-			func(res CellResult) float64 { return res.DiskBytesPaperScale / 1e9 })
-		if err != nil {
-			return Figure{}, err
-		}
-		fig.Series = append(fig.Series, tput, disk)
-	}
-	return fig, nil
-}
-
-// --- Client connections per node (§8 tuning observation) ---
-
-// connsPerNode sweeps the client connection count on a 4-node Cassandra
-// cluster: too few connections leave the servers underutilized, too many
-// congest them and inflate latency without throughput gains.
-var connsPerNode = []int{8, 32, 64, 128, 256, 512}
-
-func (r *Runner) connectionsGrid() ([]Cell, []float64) {
-	var cells []Cell
-	var xs []float64
-	for _, perNode := range connsPerNode {
-		cells = append(cells, Cell{System: Cassandra, Nodes: 4, Workload: "R",
-			Variants: fmt.Sprintf("conns=%d", perNode)})
-		xs = append(xs, float64(perNode))
-	}
-	return cells, xs
-}
-
-func (r *Runner) cellsConnections() []Cell {
-	cells, _ := r.connectionsGrid()
-	return cells
-}
-
-func (r *Runner) buildConnections() (Figure, error) {
-	fig := Figure{ID: "ablation-connections",
-		Title:  "Connections per node vs throughput and read latency (Cassandra, 4 nodes, Workload R)",
-		XLabel: "conns/node", YLabel: "ops/sec (tput) / ms (latency)"}
-	cells, xs := r.connectionsGrid()
-	tput, err := r.variantSeries("throughput", cells, xs, throughputMetric)
-	if err != nil {
-		return Figure{}, err
-	}
-	lat, err := r.variantSeries("read-latency-ms", cells, xs,
-		func(res CellResult) float64 { return float64(res.ReadLat) / float64(sim.Millisecond) })
-	if err != nil {
-		return Figure{}, err
-	}
-	fig.Series = append(fig.Series, tput, lat)
-	return fig, nil
-}
-
-// --- HBase: client write buffer vs autoflush ---
-
-// autoflushVariants compare the client write buffer (deferred flush)
-// against per-put RPCs on the write-heavy workload.
-var autoflushVariants = []struct{ label, variants string }{
-	{"write-buffer", ""},
-	{"autoflush", "autoflush=on"},
-}
-
-func (r *Runner) cellsHBaseAutoflush() []Cell {
-	var cells []Cell
-	for _, v := range autoflushVariants {
-		grid, _ := r.nodeGrid(HBase, "W", v.variants, nil)
-		cells = append(cells, grid...)
-	}
-	return cells
-}
-
-func (r *Runner) buildHBaseAutoflush() (Figure, error) {
-	fig := Figure{ID: "ablation-hbase-autoflush",
-		Title: "HBase: client write buffer vs autoflush (Workload W)", XLabel: "nodes", YLabel: "ops/sec"}
-	for _, v := range autoflushVariants {
-		cells, xs := r.nodeGrid(HBase, "W", v.variants, nil)
-		s, err := r.variantSeries(v.label, cells, xs, throughputMetric)
-		if err != nil {
-			return Figure{}, err
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
-}
-
-// --- MySQL: disk usage with and without the binary log (§5.7) ---
-
-// binlogVariants: "without this feature the disk usage is essentially
-// reduced by half". Disk usage needs no workload run, so the grid is
-// load-only cells.
-var binlogVariants = []struct{ label, variants string }{
-	{"binlog-on", ""},
-	{"binlog-off", "binlog=off"},
-}
-
-func (r *Runner) binlogGrid(variants string) ([]Cell, []float64) {
-	var cells []Cell
-	var xs []float64
-	for _, n := range r.Cfg.NodeCounts {
-		cells = append(cells, Cell{System: MySQL, Nodes: n, LoadOnly: true, Variants: variants})
-		xs = append(xs, float64(n))
-	}
-	return cells, xs
-}
-
-func (r *Runner) cellsMySQLBinlog() []Cell {
-	var cells []Cell
-	for _, v := range binlogVariants {
-		grid, _ := r.binlogGrid(v.variants)
-		cells = append(cells, grid...)
-	}
-	return cells
-}
-
-func (r *Runner) buildMySQLBinlog() (Figure, error) {
-	fig := Figure{ID: "ablation-mysql-binlog",
-		Title: "MySQL: disk usage with and without binary log", XLabel: "nodes", YLabel: "GB (paper scale)"}
-	for _, v := range binlogVariants {
-		cells, xs := r.binlogGrid(v.variants)
-		s, err := r.variantSeries(v.label, cells, xs,
-			func(res CellResult) float64 { return res.DiskBytesPaperScale / 1e9 })
-		if err != nil {
-			return Figure{}, err
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
-}
-
-// --- Redis: Jedis ring vs balanced sharding (§5.1) ---
-
-// shardingVariants: with the Jedis ring "the data distribution is
-// unbalanced".
-var shardingVariants = []struct{ label, variants string }{
-	{"jedis-ring", ""},
-	{"balanced", "sharding=balanced"},
-}
-
-func (r *Runner) cellsRedisSharding() []Cell {
-	var cells []Cell
-	for _, v := range shardingVariants {
-		grid, _ := r.nodeGrid(Redis, "R", v.variants, nil)
-		cells = append(cells, grid...)
-	}
-	return cells
-}
-
-func (r *Runner) buildRedisSharding() (Figure, error) {
-	fig := Figure{ID: "ablation-redis-sharding",
-		Title: "Redis: Jedis ring vs balanced sharding (Workload R)", XLabel: "nodes", YLabel: "ops/sec"}
-	for _, v := range shardingVariants {
-		cells, xs := r.nodeGrid(Redis, "R", v.variants, nil)
-		s, err := r.variantSeries(v.label, cells, xs, throughputMetric)
-		if err != nil {
-			return Figure{}, err
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
-}
-
-// --- VoltDB: synchronous vs asynchronous client (§6) ---
-
-// asyncVariants: Hugg's asynchronous benchmark "achieved a speed-up with a
-// fixed sized database", unlike the paper's synchronous client.
-var asyncVariants = []struct{ label, variants string }{
-	{"sync-client", ""},
-	{"async-client", "async=on"},
-}
-
-func (r *Runner) cellsVoltDBAsync() []Cell {
-	var cells []Cell
-	for _, v := range asyncVariants {
-		grid, _ := r.nodeGrid(VoltDB, "R", v.variants, nil)
-		cells = append(cells, grid...)
-	}
-	return cells
-}
-
-func (r *Runner) buildVoltDBAsync() (Figure, error) {
-	fig := Figure{ID: "ablation-voltdb-async",
-		Title: "VoltDB: synchronous vs asynchronous client (Workload R)", XLabel: "nodes", YLabel: "ops/sec"}
-	for _, v := range asyncVariants {
-		cells, xs := r.nodeGrid(VoltDB, "R", v.variants, nil)
-		s, err := r.variantSeries(v.label, cells, xs, throughputMetric)
-		if err != nil {
-			return Figure{}, err
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
+	return p
 }

@@ -46,19 +46,7 @@ func (f Figure) Render() string {
 		fmt.Fprintf(&b, "%*s", colWidth, s.Label)
 	}
 	fmt.Fprintf(&b, "    (%s)\n", f.YLabel)
-	// Collect the union of X values.
-	xs := map[float64]bool{}
-	for _, s := range f.Series {
-		for _, x := range s.X {
-			xs[x] = true
-		}
-	}
-	var order []float64
-	for x := range xs {
-		order = append(order, x)
-	}
-	sort.Float64s(order)
-	for _, x := range order {
+	for _, x := range f.xOrder() {
 		fmt.Fprintf(&b, "%-12.4g", x)
 		for _, s := range f.Series {
 			found := false
@@ -90,18 +78,7 @@ func (f Figure) RenderCSV() string {
 		b.WriteString(csvEscape(s.Label))
 	}
 	b.WriteByte('\n')
-	xs := map[float64]bool{}
-	for _, s := range f.Series {
-		for _, x := range s.X {
-			xs[x] = true
-		}
-	}
-	var order []float64
-	for x := range xs {
-		order = append(order, x)
-	}
-	sort.Float64s(order)
-	for _, x := range order {
+	for _, x := range f.xOrder() {
 		fmt.Fprintf(&b, "%g", x)
 		for _, s := range f.Series {
 			b.WriteByte(',')
@@ -116,6 +93,22 @@ func (f Figure) RenderCSV() string {
 	}
 	b.WriteString(f.Appendix)
 	return b.String()
+}
+
+// xOrder is the sorted union of every series' X values: the rendered rows.
+func (f Figure) xOrder() []float64 {
+	seen := map[float64]bool{}
+	var order []float64
+	for _, s := range f.Series {
+		for _, x := range s.X {
+			if !seen[x] {
+				seen[x] = true
+				order = append(order, x)
+			}
+		}
+	}
+	sort.Float64s(order)
+	return order
 }
 
 func csvEscape(s string) string {
@@ -133,83 +126,55 @@ func latencyMs(t sim.Time) float64          { return float64(t) / float64(sim.Mi
 func readLatMetric(r CellResult) float64    { return latencyMs(r.ReadLat) }
 func writeLatMetric(r CellResult) float64   { return latencyMs(r.WriteLat) }
 func scanLatMetric(r CellResult) float64    { return latencyMs(r.ScanLat) }
+func updateLatMetric(r CellResult) float64  { return latencyMs(r.UpdateLat) }
+func diskGBMetric(r CellResult) float64     { return r.DiskBytesPaperScale / 1e9 }
 
-// figure plans a figure's cells, executes them through the worker pool,
-// and assembles the series from the warm cache.
-func (r *Runner) figure(id string) (Figure, error) {
-	spec, ok := specFor(id)
-	if !ok {
-		return Figure{}, fmt.Errorf("harness: unknown figure %q", id)
+// figure is the one assembler: it executes a plan's cells on the worker
+// pool, then builds the Figure from the warm cache, one Series per plan
+// series in plan order.
+func (r *Runner) figure(p plan) (Figure, error) {
+	if err := r.RunAll(p.cells()); err != nil {
+		return Figure{}, err
 	}
-	if err := r.RunAll(r.CellsFor(id)); err != nil {
-		return Figure{}, fmt.Errorf("fig %s: %w", id, err)
+	measure := func(c Cell, m metric) (float64, error) {
+		res, err := r.Run(c) // cache hit: RunAll measured it
+		if err != nil {
+			return 0, fmt.Errorf("cell %s: %w", r.key(c), err)
+		}
+		return m(res), nil
 	}
-	switch spec.kind {
-	case kindBounded:
-		return r.buildBounded(spec)
-	case kindDisk:
-		return r.buildDisk(spec)
-	case kindClusterD:
-		return r.buildClusterD(spec)
-	default:
-		return r.buildSweep(spec)
-	}
-}
-
-// buildSweep assembles (system, nodes) cells over the node sweep for one
-// workload.
-func (r *Runner) buildSweep(spec figSpec) (Figure, error) {
-	fig := Figure{ID: spec.id, Title: spec.title, XLabel: "nodes", YLabel: spec.yLabel}
-	for _, sys := range spec.systems {
-		s := Series{Label: string(sys)}
-		for _, n := range r.Cfg.NodeCounts {
-			res, err := r.Run(Cell{System: sys, Nodes: n, Workload: spec.workload})
-			if err != nil {
-				return Figure{}, fmt.Errorf("fig %s %s n=%d: %w", spec.id, sys, n, err)
+	fig := Figure{ID: p.id, Title: p.title, XLabel: p.xLabel, YLabel: p.yLabel}
+	for _, ps := range p.series {
+		s := Series{Label: ps.label, X: append([]float64(nil), ps.xs...), Y: append([]float64(nil), ps.ys...)}
+		var base float64
+		if ps.base != nil {
+			var err error
+			if base, err = measure(*ps.base, ps.m); err != nil {
+				return Figure{}, err
 			}
-			s.X = append(s.X, float64(n))
-			s.Y = append(s.Y, spec.m(res))
+		}
+		for _, c := range ps.cells {
+			y, err := measure(c, ps.m)
+			if err != nil {
+				return Figure{}, err
+			}
+			if ps.base != nil {
+				if base > 0 {
+					y = 100 * y / base
+				} else {
+					y = 0
+				}
+			}
+			s.Y = append(s.Y, y)
+		}
+		if ps.base != nil {
+			s.X = append(s.X, 100)
+			s.Y = append(s.Y, 100)
 		}
 		fig.Series = append(fig.Series, s)
 	}
 	return fig, nil
 }
-
-// Fig3 regenerates "Throughput for Workload R".
-func (r *Runner) Fig3() (Figure, error) { return r.figure("3") }
-
-// Fig4 regenerates "Read latency for Workload R".
-func (r *Runner) Fig4() (Figure, error) { return r.figure("4") }
-
-// Fig5 regenerates "Write latency for Workload R".
-func (r *Runner) Fig5() (Figure, error) { return r.figure("5") }
-
-// Fig6 regenerates "Throughput for Workload RW".
-func (r *Runner) Fig6() (Figure, error) { return r.figure("6") }
-
-// Fig7 regenerates "Read latency for Workload RW".
-func (r *Runner) Fig7() (Figure, error) { return r.figure("7") }
-
-// Fig8 regenerates "Write latency for Workload RW".
-func (r *Runner) Fig8() (Figure, error) { return r.figure("8") }
-
-// Fig9 regenerates "Throughput for Workload W".
-func (r *Runner) Fig9() (Figure, error) { return r.figure("9") }
-
-// Fig10 regenerates "Read latency for Workload W".
-func (r *Runner) Fig10() (Figure, error) { return r.figure("10") }
-
-// Fig11 regenerates "Write latency for Workload W".
-func (r *Runner) Fig11() (Figure, error) { return r.figure("11") }
-
-// Fig12 regenerates "Throughput for Workload RS".
-func (r *Runner) Fig12() (Figure, error) { return r.figure("12") }
-
-// Fig13 regenerates "Scan latency for Workload RS".
-func (r *Runner) Fig13() (Figure, error) { return r.figure("13") }
-
-// Fig14 regenerates "Throughput for Workload RSW".
-func (r *Runner) Fig14() (Figure, error) { return r.figure("14") }
 
 // boundedSystems are the systems in the bounded-throughput experiment
 // (§5.6 dropped VoltDB for its prohibitive multi-node latency).
@@ -218,97 +183,103 @@ var boundedSystems = []System{Cassandra, HBase, Voldemort, MySQL, Redis}
 // boundedFractions are the load levels of Figs 15/16.
 var boundedFractions = []float64{0.50, 0.60, 0.70, 0.80, 0.90, 0.95}
 
-// buildBounded assembles latency at fractions of maximum throughput on 8
-// nodes, normalized to the latency at 100% load (x100).
-func (r *Runner) buildBounded(spec figSpec) (Figure, error) {
-	fig := Figure{ID: spec.id, Title: spec.title, XLabel: "% of max tput", YLabel: "latency normalized to max-load (=100)"}
-	for _, sys := range spec.systems {
-		maxRes, err := r.Run(Cell{System: sys, Nodes: boundedNodes, Workload: spec.workload})
-		if err != nil {
-			return Figure{}, err
-		}
-		base := spec.m(maxRes)
-		s := Series{Label: string(sys)}
-		for _, f := range boundedFractions {
-			res, err := r.Run(Cell{System: sys, Nodes: boundedNodes, Workload: spec.workload, TargetFraction: f})
-			if err != nil {
-				return Figure{}, err
-			}
-			norm := 0.0
-			if base > 0 {
-				norm = 100 * spec.m(res) / base
-			}
-			s.X = append(s.X, f*100)
-			s.Y = append(s.Y, norm)
-		}
-		s.X = append(s.X, 100)
-		s.Y = append(s.Y, 100)
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
+// boundedNodes and clusterDNodes are the fixed cluster sizes of the
+// bounded-throughput (Figs 15/16) and Cluster D (Figs 18-20) experiments.
+const (
+	boundedNodes  = 8
+	clusterDNodes = 8
+)
+
+// clusterDWorkloads are the Cluster D bar-chart workloads, in X order.
+var clusterDWorkloads = []string{"R", "RW", "W"}
+
+// figurePlanners declares every regenerated paper figure, in paper order.
+var figurePlanners = []planner{
+	sweep("3", "Throughput for Workload R", "ops/sec", "R", AllSystems, throughputMetric),
+	sweep("4", "Read latency for Workload R", "ms", "R", AllSystems, readLatMetric),
+	sweep("5", "Write latency for Workload R", "ms", "R", AllSystems, writeLatMetric),
+	sweep("6", "Throughput for Workload RW", "ops/sec", "RW", AllSystems, throughputMetric),
+	sweep("7", "Read latency for Workload RW", "ms", "RW", AllSystems, readLatMetric),
+	sweep("8", "Write latency for Workload RW", "ms", "RW", AllSystems, writeLatMetric),
+	sweep("9", "Throughput for Workload W", "ops/sec", "W", AllSystems, throughputMetric),
+	sweep("10", "Read latency for Workload W", "ms", "W", AllSystems, readLatMetric),
+	sweep("11", "Write latency for Workload W", "ms", "W", AllSystems, writeLatMetric),
+	sweep("12", "Throughput for Workload RS", "ops/sec", "RS", ScanSystems, throughputMetric),
+	sweep("13", "Scan latency for Workload RS", "ms", "RS", ScanSystems, scanLatMetric),
+	sweep("14", "Throughput for Workload RSW", "ops/sec", "RSW", ScanSystems, throughputMetric),
+	bounded("15", "Read latency for bounded throughput on Workload R", readLatMetric),
+	bounded("16", "Write latency for bounded throughput on Workload R", writeLatMetric),
+	{"17", diskUsage},
+	clusterD("18", "Throughput for 8 nodes in Cluster D", "ops/sec", throughputMetric),
+	clusterD("19", "Read latency for 8 nodes in Cluster D", "ms", readLatMetric),
+	clusterD("20", "Write latency for 8 nodes in Cluster D", "ms", writeLatMetric),
 }
 
-// Fig15 regenerates "Read latency for bounded throughput on Workload R".
-func (r *Runner) Fig15() (Figure, error) { return r.figure("15") }
-
-// Fig16 regenerates "Write latency for bounded throughput on Workload R".
-func (r *Runner) Fig16() (Figure, error) { return r.figure("16") }
-
-// buildDisk assembles "Disk usage for 10 million records", in paper-scale
-// GB, including the raw-data reference line.
-func (r *Runner) buildDisk(spec figSpec) (Figure, error) {
-	fig := Figure{ID: spec.id, Title: spec.title, XLabel: "nodes", YLabel: spec.yLabel}
-	for _, sys := range spec.systems {
-		s := Series{Label: string(sys)}
-		for _, n := range r.Cfg.NodeCounts {
-			res, err := r.LoadOnly(sys, n)
-			if err != nil {
-				return Figure{}, err
-			}
-			s.X = append(s.X, float64(n))
-			s.Y = append(s.Y, res.DiskBytesPaperScale/1e9)
+// sweep plans systems × the configured node counts on one workload.
+func sweep(id, title, yLabel, wl string, systems []System, m metric) planner {
+	return planner{id, func(cfg Config) plan {
+		p := plan{title: title, xLabel: "nodes", yLabel: yLabel}
+		for _, sys := range systems {
+			p.series = append(p.series, nodeSeries(string(sys), cfg.NodeCounts, m,
+				func(n int) Cell { return Cell{System: sys, Nodes: n, Workload: wl} }))
 		}
-		fig.Series = append(fig.Series, s)
-	}
-	raw := Series{Label: "raw data"}
-	for _, n := range r.Cfg.NodeCounts {
-		raw.X = append(raw.X, float64(n))
-		raw.Y = append(raw.Y, float64(r.Cfg.RecordsPerNode*int64(n))*70/1e9)
-	}
-	fig.Series = append(fig.Series, raw)
-	return fig, nil
+		return p
+	}}
 }
 
-// Fig17 regenerates "Disk usage for 10 million records".
-func (r *Runner) Fig17() (Figure, error) { return r.figure("17") }
-
-// buildClusterD assembles the Cluster D bar charts (Figs 18-20): 8 nodes,
-// workloads R/RW/W, systems Cassandra/HBase/Voldemort.
-func (r *Runner) buildClusterD(spec figSpec) (Figure, error) {
-	fig := Figure{ID: spec.id, Title: spec.title, XLabel: "workload#", YLabel: spec.yLabel + " [x=1:R 2:RW 3:W]"}
-	for _, sys := range spec.systems {
-		s := Series{Label: string(sys)}
-		for i, wl := range clusterDWorkloads {
-			res, err := r.Run(Cell{System: sys, Nodes: clusterDNodes, Workload: wl, ClusterD: true})
-			if err != nil {
-				return Figure{}, err
+// bounded plans latency at fractions of maximum throughput on 8 nodes,
+// normalized to the latency at 100% load (x100).
+func bounded(id, title string, m metric) planner {
+	return planner{id, func(Config) plan {
+		p := plan{title: title, xLabel: "% of max tput", yLabel: "latency normalized to max-load (=100)"}
+		for _, sys := range boundedSystems {
+			base := Cell{System: sys, Nodes: boundedNodes, Workload: "R"}
+			s := planSeries{label: string(sys), m: m, base: &base}
+			for _, f := range boundedFractions {
+				c := base
+				c.TargetFraction = f
+				s.cells = append(s.cells, c)
+				s.xs = append(s.xs, f*100)
 			}
-			s.X = append(s.X, float64(i+1))
-			s.Y = append(s.Y, spec.m(res))
+			p.series = append(p.series, s)
 		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
+		return p
+	}}
 }
 
-// Fig18 regenerates "Throughput for 8 nodes in Cluster D".
-func (r *Runner) Fig18() (Figure, error) { return r.figure("18") }
+// diskUsage plans "Disk usage for 10 million records" from load-only cells,
+// in paper-scale GB, plus the raw-data reference line.
+func diskUsage(cfg Config) plan {
+	p := plan{title: "Disk usage for 10 million records per node", xLabel: "nodes", yLabel: "GB"}
+	for _, sys := range DiskSystems {
+		p.series = append(p.series, nodeSeries(string(sys), cfg.NodeCounts, diskGBMetric,
+			func(n int) Cell { return Cell{System: sys, Nodes: n, LoadOnly: true} }))
+	}
+	raw := planSeries{label: "raw data"}
+	for _, n := range cfg.NodeCounts {
+		raw.xs = append(raw.xs, float64(n))
+		raw.ys = append(raw.ys, float64(cfg.RecordsPerNode*int64(n))*70/1e9)
+	}
+	p.series = append(p.series, raw)
+	return p
+}
 
-// Fig19 regenerates "Read latency for 8 nodes in Cluster D".
-func (r *Runner) Fig19() (Figure, error) { return r.figure("19") }
-
-// Fig20 regenerates "Write latency for 8 nodes in Cluster D".
-func (r *Runner) Fig20() (Figure, error) { return r.figure("20") }
+// clusterD plans the Cluster D bar charts (Figs 18-20): 8 nodes, workloads
+// R/RW/W, systems Cassandra/HBase/Voldemort.
+func clusterD(id, title, yLabel string, m metric) planner {
+	return planner{id, func(Config) plan {
+		p := plan{title: title, xLabel: "workload#", yLabel: yLabel + " [x=1:R 2:RW 3:W]"}
+		for _, sys := range ClusterDSystems {
+			s := planSeries{label: string(sys), m: m}
+			for i, wl := range clusterDWorkloads {
+				s.cells = append(s.cells, Cell{System: sys, Nodes: clusterDNodes, Workload: wl, ClusterD: true})
+				s.xs = append(s.xs, float64(i+1))
+			}
+			p.series = append(p.series, s)
+		}
+		return p
+	}}
+}
 
 // Table1 renders the workload specification table.
 func Table1() string {
@@ -328,21 +299,11 @@ func Table1() string {
 	return b.String()
 }
 
-// Figures maps figure IDs to their generators.
-func (r *Runner) Figures() map[string]func() (Figure, error) {
-	figs := make(map[string]func() (Figure, error), len(figSpecs))
-	for _, spec := range figSpecs {
-		id := spec.id
-		figs[id] = func() (Figure, error) { return r.figure(id) }
-	}
-	return figs
-}
-
 // FigureOrder lists figure IDs in paper order.
 var FigureOrder = func() []string {
-	ids := make([]string, len(figSpecs))
-	for i, s := range figSpecs {
-		ids[i] = s.id
+	ids := make([]string, len(figurePlanners))
+	for i, p := range figurePlanners {
+		ids[i] = p.id
 	}
 	return ids
 }()

@@ -24,10 +24,35 @@ import (
 // and call the shift out in CHANGES.md — that is the same "numbers
 // shifted once" protocol PR-2 and PR-3 followed.
 func TestFig3GoldenOutput(t *testing.T) {
+	checkGolden(t, "3", "testdata/fig3_quick.golden")
+}
+
+// TestPlanKindsGoldenOutput pins every special case of the one figure plan
+// to output captured before figures and ablations shared it: Fig 17 (load-
+// only cells plus the fixed raw-data line), the token ablation (a node
+// filter), the compression ablation (two metrics per variant over shared
+// cells) and the binlog ablation (load-only variants). Regenerate like
+// fig3_quick.golden, with the figure id and golden name swapped.
+func TestPlanKindsGoldenOutput(t *testing.T) {
+	for _, tc := range []struct{ id, golden string }{
+		{"17", "testdata/fig17_quick.golden"},
+		{"ablation-cassandra-tokens", "testdata/ablation-cassandra-tokens_quick.golden"},
+		{"ablation-cassandra-compression", "testdata/ablation-cassandra-compression_quick.golden"},
+		{"ablation-mysql-binlog", "testdata/ablation-mysql-binlog_quick.golden"},
+	} {
+		t.Run(tc.id, func(t *testing.T) { checkGolden(t, tc.id, tc.golden) })
+	}
+}
+
+// checkGolden renders figure id at the golden fidelity (scale 0.001,
+// measure 0.3s, warmup 0.1s, nodes 1,2, serial) and compares it with the
+// golden file.
+func checkGolden(t *testing.T, id, golden string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("golden figure run skipped in -short")
 	}
-	want, err := os.ReadFile("testdata/fig3_quick.golden")
+	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,13 +63,13 @@ func TestFig3GoldenOutput(t *testing.T) {
 		NodeCounts: []int{1, 2},
 	})
 	r.Workers = 1
-	fig, err := r.Fig3()
+	fig, err := r.Figure(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// apmbench prints a blank separator line after each figure; compare
 	// modulo trailing newlines.
 	if got := strings.TrimRight(fig.Render(), "\n"); got != strings.TrimRight(string(want), "\n") {
-		t.Fatalf("Fig 3 output diverged from the pre-PR-4 golden:\n--- got ---\n%s--- want ---\n%s", got, want)
+		t.Fatalf("figure %s output diverged from %s:\n--- got ---\n%s\n--- want ---\n%s", id, golden, got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"flag"
 	"os"
 	"strings"
@@ -264,7 +265,7 @@ func TestBoundedRunThrottles(t *testing.T) {
 }
 
 func TestFig17SeriesOrdering(t *testing.T) {
-	fig, err := quickRunner.Fig17()
+	fig, err := quickRunner.Figure("17")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,22 +298,38 @@ func TestFigureRender(t *testing.T) {
 	}
 }
 
+// TestFiguresRegistryComplete pins the one id space: every paper figure,
+// every ablation and the apm-dashboard extra resolve to a plan with series,
+// and an unknown id errors everywhere ids are accepted.
 func TestFiguresRegistryComplete(t *testing.T) {
-	figs := quickRunner.Figures()
-	if len(figs) != 18 {
-		t.Fatalf("registry has %d figures, want 18 (Figs 3-20)", len(figs))
+	if len(FigureOrder) != 18 || len(AblationOrder) != 9 {
+		t.Fatalf("registry has %d figures and %d ablations, want 18 (Figs 3-20) and 9",
+			len(FigureOrder), len(AblationOrder))
 	}
-	for _, id := range FigureOrder {
-		if _, ok := figs[id]; !ok {
-			t.Errorf("figure %s missing from registry", id)
+	ids := append(append([]string{"apm-dashboard"}, FigureOrder...), AblationOrder...)
+	seen := map[string]bool{}
+	for _, id := range ids {
+		if seen[id] {
+			t.Errorf("id %s registered twice", id)
+		}
+		seen[id] = true
+		p, err := quickRunner.planFor(id)
+		if err != nil {
+			t.Errorf("%s does not resolve: %v", id, err)
+			continue
+		}
+		if len(p.series) == 0 || len(quickRunner.CellsFor(id)) == 0 {
+			t.Errorf("%s plans no series or no cells", id)
 		}
 	}
-}
-
-func TestAblationsRegistry(t *testing.T) {
-	abl := quickRunner.Ablations()
-	if len(abl) != 9 {
-		t.Fatalf("ablation registry has %d entries, want 9", len(abl))
+	if _, err := quickRunner.Figure("nope"); !errors.Is(err, ErrUnknownFigure) {
+		t.Errorf("Figure(unknown) = %v, want ErrUnknownFigure", err)
+	}
+	if err := quickRunner.Prewarm("3", "nope"); !errors.Is(err, ErrUnknownFigure) {
+		t.Errorf("Prewarm(unknown) = %v, want ErrUnknownFigure", err)
+	}
+	if quickRunner.CellsFor("nope") != nil {
+		t.Error("unknown id returned cells")
 	}
 }
 

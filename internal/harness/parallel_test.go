@@ -244,29 +244,37 @@ func TestCellsForCoversEveryFigure(t *testing.T) {
 	}
 }
 
-// TestFiguresReadFromWarmCache pins the plan/execute contract: after
-// RunAll(CellsFor(id)), generating the figure must execute zero additional
-// cells — the plan is complete, and generation is pure cache reads.
+// TestFiguresReadFromWarmCache pins the plan/execute contract for figures
+// and ablations alike: after RunAll(CellsFor(id)), generating the figure
+// must execute zero additional cells — the plan is complete, and assembly
+// is pure cache reads.
 func TestFiguresReadFromWarmCache(t *testing.T) {
-	ids := []string{"3", "17"} // one sweep, the load-only figure
+	// A sweep, the load-only figure, a variant ablation, a load-only
+	// ablation.
+	ids := []string{"3", "17", "ablation-redis-sharding", "ablation-mysql-binlog"}
 	if !testing.Short() {
-		ids = append(ids, "15", "18") // bounded (dependencies), Cluster D
+		// Bounded (dependencies), Cluster D, another variant ablation.
+		ids = append(ids, "15", "18", "ablation-voltdb-async")
 	}
 	for _, id := range ids {
 		r := NewRunner(planCfg())
-		if err := r.RunAll(r.CellsFor(id)); err != nil {
-			t.Fatalf("figure %s plan: %v", id, err)
+		cells := r.CellsFor(id)
+		if len(cells) == 0 {
+			t.Fatalf("%s plans no cells", id)
+		}
+		if err := r.RunAll(cells); err != nil {
+			t.Fatalf("%s plan: %v", id, err)
 		}
 		warm := r.Executed()
-		fig, err := r.Figures()[id]()
+		fig, err := r.Figure(id)
 		if err != nil {
-			t.Fatalf("figure %s: %v", id, err)
+			t.Fatalf("%s: %v", id, err)
 		}
 		if len(fig.Series) == 0 {
-			t.Fatalf("figure %s is empty", id)
+			t.Fatalf("%s is empty", id)
 		}
 		if got := r.Executed(); got != warm {
-			t.Errorf("figure %s executed %d cells beyond its plan (plan incomplete)", id, got-warm)
+			t.Errorf("%s executed %d cells beyond its plan (plan incomplete)", id, got-warm)
 		}
 	}
 }

@@ -1,116 +1,132 @@
 package harness
 
-import "fmt"
-
-// The planning layer: every figure declares its full cell set up front so
-// the execution layer (Runner.RunAll) can schedule dozens of independent
-// simulations across workers, and figure generation afterwards reads a
-// warm cache. Order-independent seeding (Runner.cellSeed) is what makes
-// this split sound — a planned parallel schedule and the old one-at-a-time
-// schedule produce bit-identical results.
-
-// figKind classifies how a figure's cells are laid out and assembled.
-type figKind int
-
-const (
-	kindSweep    figKind = iota // systems × node counts, one workload
-	kindBounded                 // TargetFraction sweep at 8 nodes (Figs 15/16)
-	kindDisk                    // load-only disk usage (Fig 17)
-	kindClusterD                // workload bars on Cluster D (Figs 18-20)
+import (
+	"errors"
+	"fmt"
 )
 
-// figSpec declares one figure: metadata plus enough structure for the
-// planner (CellsFor) and the builders (figures.go) to agree on exactly
-// which cells the figure measures.
-type figSpec struct {
-	id       string
-	title    string
-	yLabel   string
-	kind     figKind
-	workload string   // kindSweep only
-	systems  []System // series order
-	m        metric   // headline metric (nil for kindDisk)
+// The planning layer: every experiment the harness renders — a paper
+// figure, an ablation, a scenario — is one plan: a figure header plus an
+// ordered list of series, each naming the cells it plots. A plan declares
+// its full cell set up front (plan.cells), so the execution layer
+// (Runner.RunAll) can schedule dozens of independent simulations across
+// workers, and the one assembler (Runner.figure) afterwards reads a warm
+// cache. Order-independent seeding (Runner.cellSeed) is what makes this
+// split sound — a planned parallel schedule and a one-at-a-time schedule
+// produce bit-identical results.
+
+// plan declares one rendered figure.
+type plan struct {
+	id, title, xLabel, yLabel string
+	series                    []planSeries
 }
 
-// boundedNodes and clusterDNodes are the fixed cluster sizes of the
-// bounded-throughput (Figs 15/16) and Cluster D (Figs 18-20) experiments.
-const (
-	boundedNodes  = 8
-	clusterDNodes = 8
-)
-
-// clusterDWorkloads are the Cluster D bar-chart workloads, in X order.
-var clusterDWorkloads = []string{"R", "RW", "W"}
-
-// figSpecs lists every regenerated figure in paper order.
-var figSpecs = []figSpec{
-	{id: "3", title: "Throughput for Workload R", yLabel: "ops/sec", kind: kindSweep, workload: "R", systems: AllSystems, m: throughputMetric},
-	{id: "4", title: "Read latency for Workload R", yLabel: "ms", kind: kindSweep, workload: "R", systems: AllSystems, m: readLatMetric},
-	{id: "5", title: "Write latency for Workload R", yLabel: "ms", kind: kindSweep, workload: "R", systems: AllSystems, m: writeLatMetric},
-	{id: "6", title: "Throughput for Workload RW", yLabel: "ops/sec", kind: kindSweep, workload: "RW", systems: AllSystems, m: throughputMetric},
-	{id: "7", title: "Read latency for Workload RW", yLabel: "ms", kind: kindSweep, workload: "RW", systems: AllSystems, m: readLatMetric},
-	{id: "8", title: "Write latency for Workload RW", yLabel: "ms", kind: kindSweep, workload: "RW", systems: AllSystems, m: writeLatMetric},
-	{id: "9", title: "Throughput for Workload W", yLabel: "ops/sec", kind: kindSweep, workload: "W", systems: AllSystems, m: throughputMetric},
-	{id: "10", title: "Read latency for Workload W", yLabel: "ms", kind: kindSweep, workload: "W", systems: AllSystems, m: readLatMetric},
-	{id: "11", title: "Write latency for Workload W", yLabel: "ms", kind: kindSweep, workload: "W", systems: AllSystems, m: writeLatMetric},
-	{id: "12", title: "Throughput for Workload RS", yLabel: "ops/sec", kind: kindSweep, workload: "RS", systems: ScanSystems, m: throughputMetric},
-	{id: "13", title: "Scan latency for Workload RS", yLabel: "ms", kind: kindSweep, workload: "RS", systems: ScanSystems, m: scanLatMetric},
-	{id: "14", title: "Throughput for Workload RSW", yLabel: "ops/sec", kind: kindSweep, workload: "RSW", systems: ScanSystems, m: throughputMetric},
-	{id: "15", title: "Read latency for bounded throughput on Workload R", yLabel: "ms", kind: kindBounded, workload: "R", systems: boundedSystems, m: readLatMetric},
-	{id: "16", title: "Write latency for bounded throughput on Workload R", yLabel: "ms", kind: kindBounded, workload: "R", systems: boundedSystems, m: writeLatMetric},
-	{id: "17", title: "Disk usage for 10 million records per node", yLabel: "GB", kind: kindDisk, systems: DiskSystems},
-	{id: "18", title: "Throughput for 8 nodes in Cluster D", yLabel: "ops/sec", kind: kindClusterD, systems: ClusterDSystems, m: throughputMetric},
-	{id: "19", title: "Read latency for 8 nodes in Cluster D", yLabel: "ms", kind: kindClusterD, systems: ClusterDSystems, m: readLatMetric},
-	{id: "20", title: "Write latency for 8 nodes in Cluster D", yLabel: "ms", kind: kindClusterD, systems: ClusterDSystems, m: writeLatMetric},
+// planSeries is one line of a plan: the Y value at xs[i] is m of cells[i].
+type planSeries struct {
+	label string
+	cells []Cell
+	xs    []float64
+	m     metric
+	// base, when set, normalizes the series to it: Y = 100*m(cell)/m(base)
+	// (0 when the base measures 0), and the series ends at (100, 100). The
+	// bounded-throughput figures (15/16) plot their TargetFraction cells
+	// this way against the unthrottled base.
+	base *Cell
+	// ys are fixed Y values for a series without cells (Fig 17's raw-data
+	// reference line).
+	ys []float64
 }
 
-func specFor(id string) (figSpec, bool) {
-	for _, s := range figSpecs {
-		if s.id == id {
-			return s, true
+// cells expands the plan into every cell it measures, in series order with
+// repeats dropped (series plotting two metrics share their cells). A
+// normalized series lists its base before its throttled cells, so RunAll
+// resolves each throttle target from the warm cache.
+func (p plan) cells() []Cell {
+	var out []Cell
+	seen := map[Cell]bool{}
+	add := func(c Cell) {
+		if !seen[c] {
+			seen[c] = true
+			out = append(out, c)
 		}
 	}
-	return figSpec{}, false
+	for _, s := range p.series {
+		if s.base != nil {
+			add(*s.base)
+		}
+		for _, c := range s.cells {
+			add(c)
+		}
+	}
+	return out
 }
 
-// CellsFor returns every cell figure id measures, dependency-ordered: a
-// TargetFraction cell appears after the unthrottled base cell it is
-// normalized against, so RunAll resolves the throttle target from the warm
-// cache. Unknown ids return nil.
+// nodeSeries plans one series over a node sweep: cell(n) at X = n.
+func nodeSeries(label string, nodes []int, m metric, cell func(n int) Cell) planSeries {
+	s := planSeries{label: label, m: m}
+	for _, n := range nodes {
+		s.cells = append(s.cells, cell(n))
+		s.xs = append(s.xs, float64(n))
+	}
+	return s
+}
+
+// planner declares one paper figure: its plan under a config.
+type planner struct {
+	id   string
+	plan func(Config) plan
+}
+
+// ErrUnknownFigure is returned (wrapped) for an id that names no figure,
+// ablation or built-in extra.
+var ErrUnknownFigure = errors.New("harness: unknown figure")
+
+// dashboardID names the built-in analytic figure (APMDashboard). It
+// resolves like any figure but stays out of FigureOrder, so `-figure all`
+// output is unchanged by it.
+const dashboardID = "apm-dashboard"
+
+// planFor resolves a figure id, an ablation id or dashboardID to its plan
+// under the runner's config.
+func (r *Runner) planFor(id string) (plan, error) {
+	if id == dashboardID {
+		p, _, err := APMDashboard(r.Cfg.NodeCounts).plan()
+		return p, err
+	}
+	for _, pl := range figurePlanners {
+		if pl.id == id {
+			p := pl.plan(r.Cfg)
+			p.id = id
+			return p, nil
+		}
+	}
+	for _, a := range ablations {
+		if a.id == id {
+			return a.plan(r.Cfg), nil
+		}
+	}
+	return plan{}, fmt.Errorf("%w %q", ErrUnknownFigure, id)
+}
+
+// CellsFor returns every cell figure or ablation id measures (see
+// plan.cells for the order). Unknown ids return nil.
 func (r *Runner) CellsFor(id string) []Cell {
-	spec, ok := specFor(id)
-	if !ok {
+	p, err := r.planFor(id)
+	if err != nil {
 		return nil
 	}
-	var cells []Cell
-	switch spec.kind {
-	case kindSweep:
-		for _, sys := range spec.systems {
-			for _, n := range r.Cfg.NodeCounts {
-				cells = append(cells, Cell{System: sys, Nodes: n, Workload: spec.workload})
-			}
-		}
-	case kindBounded:
-		for _, sys := range spec.systems {
-			cells = append(cells, Cell{System: sys, Nodes: boundedNodes, Workload: spec.workload})
-			for _, f := range boundedFractions {
-				cells = append(cells, Cell{System: sys, Nodes: boundedNodes, Workload: spec.workload, TargetFraction: f})
-			}
-		}
-	case kindDisk:
-		for _, sys := range spec.systems {
-			for _, n := range r.Cfg.NodeCounts {
-				cells = append(cells, Cell{System: sys, Nodes: n, LoadOnly: true})
-			}
-		}
-	case kindClusterD:
-		for _, sys := range spec.systems {
-			for _, wl := range clusterDWorkloads {
-				cells = append(cells, Cell{System: sys, Nodes: clusterDNodes, Workload: wl, ClusterD: true})
-			}
-		}
+	return p.cells()
+}
+
+// Figure plans figure or ablation id (or the apm-dashboard extra), executes
+// its cells on the worker pool, and assembles the figure from the warm
+// cache.
+func (r *Runner) Figure(id string) (Figure, error) {
+	p, err := r.planFor(id)
+	if err != nil {
+		return Figure{}, err
 	}
-	return cells
+	return r.figure(p)
 }
 
 // Prewarm plans and executes the given figures' and ablations' cells
@@ -121,15 +137,11 @@ func (r *Runner) CellsFor(id string) []Cell {
 func (r *Runner) Prewarm(ids ...string) error {
 	var cells []Cell
 	for _, id := range ids {
-		if _, ok := specFor(id); ok {
-			cells = append(cells, r.CellsFor(id)...)
-			continue
+		p, err := r.planFor(id)
+		if err != nil {
+			return err
 		}
-		if _, ok := ablationSpecFor(id); ok {
-			cells = append(cells, r.AblationCellsFor(id)...)
-			continue
-		}
-		return fmt.Errorf("harness: unknown figure %q", id)
+		cells = append(cells, p.cells()...)
 	}
 	return r.RunAll(cells)
 }

@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
@@ -264,10 +263,10 @@ type ResultCache interface {
 // concurrent requests for the same cell share one execution.
 type Runner struct {
 	Cfg Config
-	// Workers bounds concurrent cell executions in RunAll and the
-	// ablation grids; 0 means GOMAXPROCS. Note each in-flight cell holds
-	// a full simulated cluster (engine, stores, loaded records), so at
-	// paper scale workers multiply peak memory as well as CPU.
+	// Workers bounds concurrent cell executions in RunAll; 0 means
+	// GOMAXPROCS. Note each in-flight cell holds a full simulated cluster
+	// (engine, stores, loaded records), so at paper scale workers multiply
+	// peak memory as well as CPU.
 	Workers int
 	// Progress, when set, receives one line per executed cell. Calls are
 	// serialized; RunAll delivers lines in plan order regardless of which
@@ -455,12 +454,6 @@ func (r *Runner) Run(c Cell) (CellResult, error) {
 		r.emit(line)
 	}
 	return res, err
-}
-
-// LoadOnly deploys and loads a cell without running a workload; used by the
-// disk-usage experiment (Fig 17).
-func (r *Runner) LoadOnly(sys System, nodes int) (CellResult, error) {
-	return r.Run(Cell{System: sys, Nodes: nodes, LoadOnly: true})
 }
 
 // ExecuteCell implements CellExecutor: a local, cached, singleflighted
@@ -921,40 +914,4 @@ func (r *Runner) CacheHits() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.cacheHits
-}
-
-// parallelMap runs f(0..n-1) on up to workers goroutines and returns the
-// results in index order. Every call runs to completion; the first error
-// by index wins, keeping failures deterministic under any schedule.
-func parallelMap[T any](n, workers int, f func(int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	errs := make([]error, n)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var nextIdx int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&nextIdx, 1)) - 1
-				if i >= n {
-					return
-				}
-				out[i], errs[i] = f(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -267,8 +267,8 @@ var scenarioMetrics = map[string]struct {
 	"read-latency":   {readLatMetric, "ms"},
 	"write-latency":  {writeLatMetric, "ms"},
 	"scan-latency":   {scanLatMetric, "ms"},
-	"update-latency": {func(r CellResult) float64 { return latencyMs(r.UpdateLat) }, "ms"},
-	"disk":           {func(r CellResult) float64 { return r.DiskBytesPaperScale / 1e9 }, "GB (paper scale)"},
+	"update-latency": {updateLatMetric, "ms"},
+	"disk":           {diskGBMetric, "GB (paper scale)"},
 }
 
 // ParseScenario decodes and validates a scenario file. Unknown JSON fields
@@ -404,14 +404,6 @@ func (s *Scenario) metric() (metric, string) {
 	return sm.m, sm.yLabel
 }
 
-// seriesSpec is one figure series of the grid: a (system, workload,
-// variants) combination swept over the node counts.
-type seriesSpec struct {
-	label string
-	cells []Cell
-	xs    []float64
-}
-
 // queryMix normalizes a copy of the scenario's query specs into a mix.
 func (s *Scenario) queryMix() (query.Mix, error) {
 	m := make(query.Mix, len(s.Queries))
@@ -422,11 +414,30 @@ func (s *Scenario) queryMix() (query.Mix, error) {
 	return m, nil
 }
 
+// plan lays the grid out as one figure: one series per system × workload ×
+// variant combo, node counts on the X axis. Skipped (system, workload)
+// pairs are returned alongside.
+func (s *Scenario) plan() (plan, []string, error) {
+	series, skipped, err := s.series()
+	if err != nil {
+		return plan{}, nil, err
+	}
+	m, yLabel := s.metric()
+	for i := range series {
+		series[i].m = m
+	}
+	title := s.Name
+	if s.Description != "" {
+		title += ": " + s.Description
+	}
+	return plan{id: "scenario-" + s.Name, title: title, xLabel: "nodes", yLabel: yLabel, series: series}, skipped, nil
+}
+
 // series expands the grid, skipping (system, workload) pairs the system
 // cannot run (e.g. scan mixes on Voldemort), mirroring how the paper's
 // scan figures exclude it. Skipped pairs are reported so a scenario author
 // sees the holes.
-func (s *Scenario) series() ([]seriesSpec, []string, error) {
+func (s *Scenario) series() ([]planSeries, []string, error) {
 	workloads := s.Workloads
 	if s.LoadOnly && len(workloads) == 0 {
 		workloads = []ScenarioWorkload{{}}
@@ -453,7 +464,7 @@ func (s *Scenario) series() ([]seriesSpec, []string, error) {
 	if len(s.Queries) > 0 {
 		return s.querySeries(hw, variants)
 	}
-	var specs []seriesSpec
+	var specs []planSeries
 	var skipped []string
 	for _, sys := range s.Systems {
 		for _, sw := range workloads {
@@ -475,8 +486,7 @@ func (s *Scenario) series() ([]seriesSpec, []string, error) {
 				}
 			}
 			for _, v := range variants {
-				spec := seriesSpec{label: seriesLabel(sys, sw.Name, v)}
-				for _, n := range s.Nodes {
+				specs = append(specs, nodeSeries(seriesLabel(sys, sw.Name, v), s.Nodes, nil, func(n int) Cell {
 					c := Cell{
 						System:         sys,
 						Nodes:          n,
@@ -493,10 +503,8 @@ func (s *Scenario) series() ([]seriesSpec, []string, error) {
 					} else if sw.Name != "" {
 						c.Mix = wl
 					}
-					spec.cells = append(spec.cells, c)
-					spec.xs = append(spec.xs, float64(n))
-				}
-				specs = append(specs, spec)
+					return c
+				}))
 			}
 		}
 	}
@@ -507,13 +515,13 @@ func (s *Scenario) series() ([]seriesSpec, []string, error) {
 // combo, every cell carrying the whole mix's canonical encoding (the mix
 // is weighted within a cell, like an operation mix — not one series per
 // query). Systems without scan support are skipped like scan workloads.
-func (s *Scenario) querySeries(hw cluster.Spec, variants []string) ([]seriesSpec, []string, error) {
+func (s *Scenario) querySeries(hw cluster.Spec, variants []string) ([]planSeries, []string, error) {
 	mix, err := s.queryMix()
 	if err != nil {
 		return nil, nil, err
 	}
 	enc := mix.String()
-	var specs []seriesSpec
+	var specs []planSeries
 	var skipped []string
 	for _, sys := range s.Systems {
 		if !SupportsScans(sys) {
@@ -521,9 +529,8 @@ func (s *Scenario) querySeries(hw cluster.Spec, variants []string) ([]seriesSpec
 			continue
 		}
 		for _, v := range variants {
-			spec := seriesSpec{label: seriesLabel(sys, "queries", v)}
-			for _, n := range s.Nodes {
-				spec.cells = append(spec.cells, Cell{
+			specs = append(specs, nodeSeries(seriesLabel(sys, "queries", v), s.Nodes, nil, func(n int) Cell {
+				return Cell{
 					System:         sys,
 					Nodes:          n,
 					ClusterD:       s.Cluster == "D",
@@ -532,10 +539,8 @@ func (s *Scenario) querySeries(hw cluster.Spec, variants []string) ([]seriesSpec
 					RecordsPerNode: s.RecordsPerNode,
 					Repetitions:    s.Repetitions,
 					Queries:        enc,
-				})
-				spec.xs = append(spec.xs, float64(n))
-			}
-			specs = append(specs, spec)
+				}
+			}))
 		}
 	}
 	return specs, skipped, nil
@@ -553,58 +558,38 @@ func seriesLabel(sys System, workload, variants string) string {
 }
 
 // Cells returns every cell the scenario measures, in grid order, with
-// unsupported (system, workload) pairs skipped.
+// unsupported (system, workload) pairs skipped and repeats dropped.
 func (s *Scenario) Cells() ([]Cell, error) {
-	specs, _, err := s.series()
+	p, _, err := s.plan()
 	if err != nil {
 		return nil, err
 	}
-	var cells []Cell
-	for _, spec := range specs {
-		cells = append(cells, spec.cells...)
-	}
-	return cells, nil
+	return p.cells(), nil
 }
 
-// RunScenario executes the scenario's grid on the worker pool (cached,
-// seeded, deduplicated like any figure plan) and assembles the figure: one
-// series per system × workload × variant combo, node counts on the X axis.
+// RunScenario executes the scenario's plan on the worker pool (cached,
+// seeded, deduplicated like any figure plan) and assembles its figure, with
+// a fault scenario's recovery curves appended.
 func (r *Runner) RunScenario(s *Scenario) (Figure, error) {
 	if err := s.Validate(); err != nil {
 		return Figure{}, err
 	}
-	specs, skipped, err := s.series()
+	p, skipped, err := s.plan()
 	if err != nil {
 		return Figure{}, err
 	}
-	if len(specs) == 0 {
+	if len(p.series) == 0 {
 		return Figure{}, fmt.Errorf("harness: scenario %s has no runnable cells (skipped: %v)", s.Name, skipped)
 	}
 	for _, sk := range skipped {
 		r.emit(fmt.Sprintf("%-10s skipped: workload not supported", sk))
 	}
-	var cells []Cell
-	for _, spec := range specs {
-		cells = append(cells, spec.cells...)
-	}
-	if err := r.RunAll(cells); err != nil {
+	fig, err := r.figure(p)
+	if err != nil {
 		return Figure{}, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	m, yLabel := s.metric()
-	title := s.Name
-	if s.Description != "" {
-		title += ": " + s.Description
-	}
-	fig := Figure{ID: "scenario-" + s.Name, Title: title, XLabel: "nodes", YLabel: yLabel}
-	for _, spec := range specs {
-		series, err := r.variantSeries(spec.label, spec.cells, spec.xs, m)
-		if err != nil {
-			return Figure{}, fmt.Errorf("scenario %s: %w", s.Name, err)
-		}
-		fig.Series = append(fig.Series, series)
-	}
 	if len(s.Faults) > 0 {
-		appendix, err := r.faultAppendix(specs)
+		appendix, err := r.faultAppendix(p.series)
 		if err != nil {
 			return Figure{}, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
@@ -617,7 +602,7 @@ func (r *Runner) RunScenario(s *Scenario) (Figure, error) {
 // measurement window with throughput, tail latency and availability, so a
 // node-kill scenario shows the dip and the post-restart recovery (including
 // the modeled replay cost) without leaving the text figure.
-func (r *Runner) faultAppendix(specs []seriesSpec) (string, error) {
+func (r *Runner) faultAppendix(specs []planSeries) (string, error) {
 	var b strings.Builder
 	for _, spec := range specs {
 		for _, c := range spec.cells {

@@ -259,38 +259,6 @@ func TestRecordSizeChangesFootprint(t *testing.T) {
 	}
 }
 
-// TestAblationCellsCached mirrors TestFiguresReadFromWarmCache for the
-// ablation registry: after RunAll over an ablation's declared grid,
-// generating the ablation executes zero additional cells — the grids are
-// complete and generation is pure cache reads.
-func TestAblationCellsCached(t *testing.T) {
-	ids := []string{"ablation-redis-sharding", "ablation-mysql-binlog"}
-	if !testing.Short() {
-		ids = append(ids, "ablation-voltdb-async")
-	}
-	for _, id := range ids {
-		r := NewRunner(planCfg())
-		cells := r.AblationCellsFor(id)
-		if len(cells) == 0 {
-			t.Fatalf("%s declares no cells", id)
-		}
-		if err := r.RunAll(cells); err != nil {
-			t.Fatalf("%s plan: %v", id, err)
-		}
-		warm := r.Executed()
-		fig, err := r.Ablations()[id]()
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(fig.Series) == 0 {
-			t.Fatalf("%s produced an empty figure", id)
-		}
-		if got := r.Executed(); got != warm {
-			t.Errorf("%s executed %d cells beyond its declared grid", id, got-warm)
-		}
-	}
-}
-
 // TestAblationRegistryDeclaresEveryGrid asserts every ablation is planned
 // declaratively: a non-empty cell grid at default node counts, every cell
 // carrying a resolvable configuration.
@@ -300,7 +268,7 @@ func TestAblationRegistryDeclaresEveryGrid(t *testing.T) {
 		t.Fatalf("AblationOrder has %d entries, want 9", len(AblationOrder))
 	}
 	for _, id := range AblationOrder {
-		cells := r.AblationCellsFor(id)
+		cells := r.CellsFor(id)
 		if len(cells) == 0 {
 			t.Errorf("%s declares no cells", id)
 		}
@@ -309,9 +277,6 @@ func TestAblationRegistryDeclaresEveryGrid(t *testing.T) {
 				t.Errorf("%s cell %s does not resolve: %v", id, r.key(c), err)
 			}
 		}
-	}
-	if r.AblationCellsFor("ablation-nope") != nil {
-		t.Error("unknown ablation returned a grid")
 	}
 }
 
