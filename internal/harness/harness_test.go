@@ -298,15 +298,45 @@ func TestFigureRender(t *testing.T) {
 	}
 }
 
-// TestFiguresRegistryComplete pins the one id space: every paper figure,
-// every ablation and the apm-dashboard extra resolve to a plan with series,
-// and an unknown id errors everywhere ids are accepted.
+// TestFiguresRegistryComplete pins the one id space: every paper figure and
+// the apm-dashboard extra resolve to a plan with series, and an unknown id
+// errors everywhere ids are accepted.
 func TestFiguresRegistryComplete(t *testing.T) {
-	if len(FigureOrder) != 18 || len(AblationOrder) != 9 {
-		t.Fatalf("registry has %d figures and %d ablations, want 18 (Figs 3-20) and 9",
-			len(FigureOrder), len(AblationOrder))
+	if len(FigureOrder) != 18 {
+		t.Fatalf("registry has %d figures, want 18 (Figs 3-20)", len(FigureOrder))
 	}
-	ids := append(append([]string{"apm-dashboard"}, FigureOrder...), AblationOrder...)
+	checkRegistry(t, append([]string{"apm-dashboard"}, FigureOrder...))
+	if _, err := quickRunner.Figure("nope"); !errors.Is(err, ErrUnknownFigure) {
+		t.Errorf("Figure(unknown) = %v, want ErrUnknownFigure", err)
+	}
+	if err := quickRunner.Prewarm("3", "nope"); !errors.Is(err, ErrUnknownFigure) {
+		t.Errorf("Prewarm(unknown) = %v, want ErrUnknownFigure", err)
+	}
+	if quickRunner.CellsFor("nope") != nil {
+		t.Error("unknown id returned cells")
+	}
+}
+
+// TestAblationsRegistry pins that all nine ablations resolve through the
+// same id space as the figures, none shadows a figure id, and an unknown
+// ablation id plans nothing.
+func TestAblationsRegistry(t *testing.T) {
+	if len(AblationOrder) != 9 {
+		t.Fatalf("ablation registry has %d entries, want 9", len(AblationOrder))
+	}
+	checkRegistry(t, append(append([]string{}, FigureOrder...), AblationOrder...))
+	if quickRunner.CellsFor("ablation-nope") != nil {
+		t.Error("unknown ablation returned a grid")
+	}
+	if _, err := quickRunner.Figure("ablation-nope"); !errors.Is(err, ErrUnknownFigure) {
+		t.Errorf("Figure(unknown ablation) = %v, want ErrUnknownFigure", err)
+	}
+}
+
+// checkRegistry fails for an id listed twice or one that does not resolve
+// to a plan with series and cells.
+func checkRegistry(t *testing.T, ids []string) {
+	t.Helper()
 	seen := map[string]bool{}
 	for _, id := range ids {
 		if seen[id] {
@@ -321,15 +351,6 @@ func TestFiguresRegistryComplete(t *testing.T) {
 		if len(p.series) == 0 || len(quickRunner.CellsFor(id)) == 0 {
 			t.Errorf("%s plans no series or no cells", id)
 		}
-	}
-	if _, err := quickRunner.Figure("nope"); !errors.Is(err, ErrUnknownFigure) {
-		t.Errorf("Figure(unknown) = %v, want ErrUnknownFigure", err)
-	}
-	if err := quickRunner.Prewarm("3", "nope"); !errors.Is(err, ErrUnknownFigure) {
-		t.Errorf("Prewarm(unknown) = %v, want ErrUnknownFigure", err)
-	}
-	if quickRunner.CellsFor("nope") != nil {
-		t.Error("unknown id returned cells")
 	}
 }
 

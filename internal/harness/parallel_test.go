@@ -244,18 +244,33 @@ func TestCellsForCoversEveryFigure(t *testing.T) {
 	}
 }
 
-// TestFiguresReadFromWarmCache pins the plan/execute contract for figures
-// and ablations alike: after RunAll(CellsFor(id)), generating the figure
-// must execute zero additional cells — the plan is complete, and assembly
-// is pure cache reads.
+// TestFiguresReadFromWarmCache pins the plan/execute contract: after
+// RunAll(CellsFor(id)), generating the figure must execute zero additional
+// cells — the plan is complete, and assembly is pure cache reads.
 func TestFiguresReadFromWarmCache(t *testing.T) {
-	// A sweep, the load-only figure, a variant ablation, a load-only
-	// ablation.
-	ids := []string{"3", "17", "ablation-redis-sharding", "ablation-mysql-binlog"}
+	ids := []string{"3", "17"} // one sweep, the load-only figure
 	if !testing.Short() {
-		// Bounded (dependencies), Cluster D, another variant ablation.
-		ids = append(ids, "15", "18", "ablation-voltdb-async")
+		ids = append(ids, "15", "18") // bounded (dependencies), Cluster D
 	}
+	checkWarmCache(t, ids)
+}
+
+// TestAblationCellsCached mirrors TestFiguresReadFromWarmCache for the
+// ablations: after RunAll over an ablation's declared grid, generating the
+// ablation executes zero additional cells.
+func TestAblationCellsCached(t *testing.T) {
+	// A variant ablation, a load-only ablation.
+	ids := []string{"ablation-redis-sharding", "ablation-mysql-binlog"}
+	if !testing.Short() {
+		ids = append(ids, "ablation-voltdb-async")
+	}
+	checkWarmCache(t, ids)
+}
+
+// checkWarmCache runs each id's planned cells on a fresh runner, then
+// assembles the figure and fails if assembly executed any further cell.
+func checkWarmCache(t *testing.T, ids []string) {
+	t.Helper()
 	for _, id := range ids {
 		r := NewRunner(planCfg())
 		cells := r.CellsFor(id)
