@@ -33,6 +33,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "apmquery:", err)
 		os.Exit(1)
 	}
+	defer dep.Close()
 	if !dep.Store.Caps().Scans {
 		fmt.Fprintf(os.Stderr, "apmquery: %s has no scan support; window queries need scans\n", *system)
 		os.Exit(1)

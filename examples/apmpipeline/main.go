@@ -28,6 +28,7 @@ func main() {
 	)
 
 	engine := sim.NewEngine(7)
+	defer engine.Close() // tears down any process still parked when the run ends
 	clust := cluster.New(engine, cluster.ClusterM(4).Scale(0.01))
 	// HBase: its ordered regions make the §2 window queries exact (hash-
 	// partitioned stores sample ranges node-locally).

@@ -18,6 +18,7 @@ func main() {
 	// A 4-node memory-bound cluster at 1/100 of the paper's hardware.
 	const scale = 0.01
 	engine := sim.NewEngine(1)
+	defer engine.Close() // unwinds the commit-log flushers still parked at the end
 	clust := cluster.New(engine, cluster.ClusterM(4).Scale(scale))
 
 	// Deploy Cassandra with a flush threshold matching the scale.

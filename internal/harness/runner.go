@@ -701,6 +701,7 @@ func (r *Runner) execute(c Cell, key string, rep int64, observe func(*Deployment
 	if err != nil {
 		return CellResult{}, err
 	}
+	defer dep.Close()
 	if err := d.load(dep.Store); err != nil {
 		return CellResult{}, err
 	}

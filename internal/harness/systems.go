@@ -61,6 +61,12 @@ type Deployment struct {
 	Store  store.Store
 }
 
+// Close tears the deployment down once its measurements are read: every
+// process still blocked on its engine (the WAL and commit-log flushers
+// above all) is killed and unwound, and pending events are dropped. The
+// deployment must not be driven afterwards.
+func (d *Deployment) Close() { d.Engine.Close() }
+
 // Deploy builds a cluster from spec (hardware scaled by scale) and deploys
 // the system on it with scale-adjusted engine thresholds.
 func Deploy(seed int64, sys System, spec cluster.Spec, scale float64) (*Deployment, error) {

@@ -121,9 +121,6 @@ func NewTokenRingRandom(nodes int, randUint64 func() uint64) *TokenRing {
 // Owner returns the node owning key.
 func (r *TokenRing) Owner(key string) int { return r.owner(Hash64(key)) }
 
-// OwnerOfHash returns the node owning an already-hashed key.
-func (r *TokenRing) OwnerOfHash(h uint64) int { return r.owner(h) }
-
 // Nodes returns the node count.
 func (r *TokenRing) Nodes() int { return r.nodes }
 

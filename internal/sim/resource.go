@@ -59,9 +59,26 @@ func (r *Resource) Acquire(p *Proc) {
 	if len(r.queue) > r.maxQueueLen {
 		r.maxQueueLen = len(r.queue)
 	}
-	p.park()
+	if !p.yield(struct{}{}) {
+		// Engine.Close stopped p while it waited: leave the queue, or hand
+		// back the unit a Release already granted it.
+		r.abandon(p)
+		panic(procKilled{})
+	}
 	r.totalWaits++
 	r.totalWaitNs += r.eng.now - start
+}
+
+// abandon undoes a wait that will never complete: p leaves the queue if it
+// is still in it, else it was granted a unit, which is released.
+func (r *Resource) abandon(p *Proc) {
+	for i, q := range r.queue {
+		if q == p {
+			r.queue = append(r.queue[:i], r.queue[i+1:]...)
+			return
+		}
+	}
+	r.Release()
 }
 
 // TryAcquire obtains a unit without waiting. It reports whether it succeeded.

@@ -1,11 +1,13 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The engine advances a virtual clock from event to event. Simulated
-// activities are written as ordinary Go functions running in "processes"
-// (goroutines that are resumed one at a time by the engine, so process code
-// never races with other process code). Processes sleep in virtual time,
-// queue on counted resources, and park/wake explicitly, which is enough to
-// express clients, servers, disks, NICs and background daemons.
+// activities are written as ordinary Go functions running in "processes":
+// coroutines (iter.Pull) that the engine loop resumes one at a time from
+// the event that wakes them, so process code never races with other
+// process code. Processes sleep in virtual time, queue on counted
+// resources, and park/wake explicitly, which is enough to express clients,
+// servers, disks, NICs and background daemons. Engine.Close kills and
+// unwinds every process still blocked when a simulation is done.
 //
 // All randomness used by a simulation should come from Engine.Rand so that a
 // run is fully determined by its seed.
@@ -13,6 +15,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 )
 
@@ -121,21 +124,16 @@ type Engine struct {
 	seq    uint64
 	rng    *rand.Rand
 
-	// yield is signaled by the currently running process when it parks or
-	// terminates, handing control back to the engine loop. Exactly one
-	// process runs at any instant.
-	yield chan struct{}
-
-	procs   int // live processes (started and not yet finished)
+	// live holds every process that was created and has not finished,
+	// started or not. A process leaves it as it finishes (swap-remove by
+	// Proc.idx), so finished processes are never pinned by the engine.
+	live    []*Proc
 	stopped bool
 }
 
 // NewEngine returns an engine whose random source is seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{
-		rng:   rand.New(rand.NewSource(seed)),
-		yield: make(chan struct{}),
-	}
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -159,7 +157,8 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Run executes events until no events remain, until the clock passes until
 // (when until > 0), or until Stop is called. It returns the virtual time at
-// which it stopped.
+// which it stopped. A panic in process code, other than a kill unwind,
+// propagates out of Run with its original value.
 func (e *Engine) Run(until Time) Time {
 	e.stopped = false
 	for len(e.events) > 0 && !e.stopped {
@@ -185,19 +184,51 @@ func (e *Engine) Run(until Time) Time {
 	return e.now
 }
 
+// Close tears the engine down. Every live process is killed and unwound
+// where it is blocked, so its defers run (Use releases its unit); a
+// process that never started is marked finished without running. Pending
+// events are then dropped, freeing their closures. Close must be called
+// from outside Run, never from process code or an event callback. A second
+// Close is a no-op.
+func (e *Engine) Close() {
+	for len(e.live) > 0 {
+		p := e.live[len(e.live)-1]
+		p.killed = true
+		if p.stop == nil {
+			e.finish(p) // never started
+			continue
+		}
+		p.stop()
+	}
+	e.events = nil
+}
+
 // Pending reports the number of scheduled events.
 func (e *Engine) Pending() int { return len(e.events) }
 
 // Procs reports the number of live processes.
-func (e *Engine) Procs() int { return e.procs }
+func (e *Engine) Procs() int { return len(e.live) }
 
-// Proc is a simulated process: a goroutine that runs in lockstep with the
-// engine. Process code calls Sleep/Park/Acquire to advance virtual time.
+// Proc is a simulated process: a coroutine that runs in lockstep with the
+// engine. Process code calls Sleep/Park/Acquire to advance virtual time;
+// each of them yields back to the engine loop, which resumes the process
+// from the event that wakes it. A panic in process code, other than a kill
+// unwind, ends the process and surfaces from Engine.Run in Run's caller,
+// with its original value.
 type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
-	dead   bool
+	eng  *Engine
+	name string
+	fn   func(p *Proc)
+	// next resumes the coroutine until it yields or finishes; stop unwinds
+	// it from its yield point; yield suspends it and reports false once
+	// stop was called. All three are nil before the start event and after
+	// the process finishes.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	// idx is the process's slot in Engine.live while it is live.
+	idx  int
+	dead bool
 	// killed marks a process cancelled by Kill. The process unwinds the
 	// next time it reaches a cancellation point (Sleep or Park).
 	killed bool
@@ -207,8 +238,8 @@ type Proc struct {
 	// (the grant is already accounted) and unwinds at its next Sleep/Park.
 	killable bool
 	// pendingWakes counts scheduled-but-undelivered wake events, so Kill
-	// never double-schedules a resume (two sends on an unbuffered resume
-	// channel with one receiver would deadlock the simulation).
+	// never double-schedules a resume (a second resume would return the
+	// process early from its next block).
 	pendingWakes int
 	// wakeFn is the event callback that resumes this process. It is built
 	// once at process creation and rescheduled for every Sleep/Wake, so the
@@ -217,7 +248,7 @@ type Proc struct {
 }
 
 // procKilled is the panic value used to unwind a killed process's stack.
-// It is recovered by the process wrapper and treated as a normal exit.
+// It is recovered inside the coroutine body and treated as a normal exit.
 type procKilled struct{}
 
 // Go starts fn as a new process at the current virtual time. The process
@@ -228,37 +259,53 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 
 // GoAt starts fn as a new process after delay.
 func (e *Engine) GoAt(delay Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
+	p := &Proc{eng: e, name: name, fn: fn, idx: len(e.live)}
 	p.wakeFn = func() {
 		p.pendingWakes--
 		if p.dead {
 			// The wake raced with the process's death (e.g. a timer fired
-			// after a kill-unwind); there is no goroutine left to resume.
+			// after a kill-unwind); there is no coroutine left to resume.
 			return
 		}
-		p.resume <- struct{}{}
-		<-e.yield
+		p.next()
 	}
-	e.procs++
+	e.live = append(e.live, p)
 	e.Schedule(delay, func() {
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(procKilled); !ok {
-						panic(r)
-					}
-				}
-				p.dead = true
-				e.procs--
-				e.yield <- struct{}{}
-			}()
-			if !p.killed {
-				fn(p)
-			}
-		}()
-		<-e.yield
+		if p.killed {
+			e.finish(p) // killed before it started: the body never runs
+			return
+		}
+		p.next, p.stop = iter.Pull(p.body)
+		p.next()
 	})
 	return p
+}
+
+// body is the coroutine: it runs the process function and retires the
+// process however the function ends. A kill unwind ends here; any other
+// panic is re-raised, and iter.Pull re-raises it in the engine loop.
+func (p *Proc) body(yield func(struct{}) bool) {
+	p.yield = yield
+	defer func() {
+		r := recover()
+		p.eng.finish(p)
+		if _, killed := r.(procKilled); r != nil && !killed {
+			panic(r)
+		}
+	}()
+	p.fn(p)
+}
+
+// finish retires p: it is marked dead and swap-removed from the registry,
+// and its coroutine handles are dropped so nothing retains its stack.
+func (e *Engine) finish(p *Proc) {
+	p.dead = true
+	last := len(e.live) - 1
+	e.live[p.idx] = e.live[last]
+	e.live[p.idx].idx = p.idx
+	e.live[last] = nil
+	e.live = e.live[:last]
+	p.fn, p.next, p.stop, p.yield = nil, nil, nil, nil
 }
 
 // Engine returns the engine that owns p.
@@ -273,10 +320,12 @@ func (p *Proc) Now() Time { return p.eng.now }
 // Rand returns the engine's deterministic random source.
 func (p *Proc) Rand() *rand.Rand { return p.eng.rng }
 
-// park hands control back to the engine and blocks until woken.
+// park hands control back to the engine and blocks until woken. It
+// unwinds the process if Engine.Close stopped it instead.
 func (p *Proc) park() {
-	p.eng.yield <- struct{}{}
-	<-p.resume
+	if !p.yield(struct{}{}) {
+		panic(procKilled{})
+	}
 }
 
 // wake schedules p to resume at now+delay, reusing the process's
@@ -316,11 +365,12 @@ func (p *Proc) Park() {
 }
 
 // Wake resumes a process parked with Park at the current virtual time.
-// Calling Wake on a process that is not parked is a programming error and
-// will deadlock the simulation; the engine cannot detect it cheaply. The
-// exception is a process that already finished or was killed: such wakes
-// are dropped, so owners of long-lived background processes need not
-// synchronize Wake against teardown.
+// Calling Wake on a process that is not parked is a programming error: the
+// extra resume returns the process early from its next Sleep, Park or
+// resource wait, silently corrupting its timing, and the engine cannot
+// detect it cheaply. The exception is a process that already finished or
+// was killed: such wakes are dropped, so owners of long-lived background
+// processes need not synchronize Wake against teardown.
 func (p *Proc) Wake() { p.eng.wake(p, 0) }
 
 // Kill cancels the process. The cancellation is cooperative: the process

@@ -173,61 +173,6 @@ func TestPropertyQuantileAccuracy(t *testing.T) {
 	}
 }
 
-func TestThroughputSeriesBuckets(t *testing.T) {
-	s := NewThroughputSeries(0, 100*sim.Millisecond)
-	for i := 0; i < 10; i++ {
-		s.Record(sim.Time(i) * 30 * sim.Millisecond) // 0..270ms
-	}
-	b := s.Buckets()
-	if len(b) != 3 {
-		t.Fatalf("buckets = %d, want 3", len(b))
-	}
-	// 4 ops in [0,100), 3 in [100,200), 3 in [200,300) at 100ms buckets.
-	if b[0] != 40 || b[1] != 30 || b[2] != 30 {
-		t.Fatalf("bucket rates = %v, want [40 30 30]", b)
-	}
-}
-
-func TestThroughputSeriesIgnoresBeforeStart(t *testing.T) {
-	s := NewThroughputSeries(sim.Second, 100*sim.Millisecond)
-	s.Record(500 * sim.Millisecond) // before window
-	s.Record(sim.Second + 50*sim.Millisecond)
-	if got := s.Buckets(); len(got) != 1 || got[0] != 10 {
-		t.Fatalf("buckets = %v, want one bucket of 10/s", got)
-	}
-}
-
-func TestStabilitySteadyState(t *testing.T) {
-	s := NewThroughputSeries(0, 100*sim.Millisecond)
-	for ms := 0; ms < 1000; ms += 10 { // perfectly uniform
-		s.Record(sim.Time(ms) * sim.Millisecond)
-	}
-	if st := s.Stability(); st < 0.9 || st > 1.1 {
-		t.Fatalf("stability = %f for uniform load, want ~1", st)
-	}
-}
-
-func TestStabilityDetectsCollapse(t *testing.T) {
-	s := NewThroughputSeries(0, 100*sim.Millisecond)
-	for ms := 0; ms < 500; ms += 2 { // fast first half
-		s.Record(sim.Time(ms) * sim.Millisecond)
-	}
-	for ms := 500; ms < 1000; ms += 50 { // collapsing second half
-		s.Record(sim.Time(ms) * sim.Millisecond)
-	}
-	if st := s.Stability(); st > 0.5 {
-		t.Fatalf("stability = %f for collapsing load, want well below 1", st)
-	}
-}
-
-func TestStabilityShortSeries(t *testing.T) {
-	s := NewThroughputSeries(0, 100*sim.Millisecond)
-	s.Record(10 * sim.Millisecond)
-	if s.Stability() != 1 {
-		t.Fatal("short series should report neutral stability")
-	}
-}
-
 func BenchmarkHistogramRecord(b *testing.B) {
 	h := NewHistogram()
 	for i := 0; i < b.N; i++ {

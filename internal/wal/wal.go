@@ -27,8 +27,8 @@ type Log struct {
 	// the first append and then persists for the log's lifetime, parking
 	// between busy periods instead of exiting: an idle→busy transition is
 	// one Wake (an event-heap push) rather than a fresh closure, Proc and
-	// goroutine per transition. The parked goroutine is the price — one
-	// per log that ever flushed, held until the engine is dropped.
+	// coroutine per transition. The parked coroutine is the price — one
+	// per log that ever flushed, held until Engine.Close unwinds it.
 	flusher     *sim.Proc
 	flusherBusy bool
 	// closed marks the log torn down by a node kill: appends no longer
@@ -155,6 +155,3 @@ func (l *Log) Close() {
 // Reopen restores a closed log on node restart; the next append spawns a
 // fresh flusher.
 func (l *Log) Reopen() { l.closed = false }
-
-// Closed reports whether the log is torn down.
-func (l *Log) Closed() bool { return l.closed }

@@ -39,9 +39,6 @@ type RunConfig struct {
 	// inside the measurement window.
 	Warmup  sim.Time
 	Measure sim.Time
-	// TrackThroughput records a throughput-over-time series for the
-	// measurement window (steady-state diagnostics).
-	TrackThroughput bool
 	// OpTimeout classifies operations slower than this as timed out: they
 	// count as failures (and windowed failures), not latency samples. Zero
 	// disables the classification.
@@ -67,9 +64,6 @@ const defaultUnavailableBackoff = sim.Millisecond
 type Result struct {
 	*stats.Collector
 	Config RunConfig
-	// Series is the throughput-over-time curve (nil unless
-	// Config.TrackThroughput was set).
-	Series *stats.ThroughputSeries
 	// Windows holds per-window quantiles and availability (nil unless
 	// Config.TrackWindows was set).
 	Windows *stats.WindowedLatency
@@ -108,10 +102,6 @@ func Run(e *sim.Engine, cfg RunConfig) (*Result, error) {
 		return nil, fmt.Errorf("ycsb: measurement window must be positive")
 	}
 	col := stats.NewCollector()
-	var series *stats.ThroughputSeries
-	if cfg.TrackThroughput {
-		series = stats.NewThroughputSeries(e.Now()+cfg.Warmup, cfg.Measure/20)
-	}
 	var windows *stats.WindowedLatency
 	if cfg.TrackWindows {
 		wi := cfg.WindowInterval
@@ -199,13 +189,8 @@ func Run(e *sim.Engine, cfg RunConfig) (*Result, error) {
 					}
 				default:
 					col.Record(kind, lat)
-					if col.Active() {
-						if series != nil {
-							series.Record(p.Now())
-						}
-						if windows != nil {
-							windows.Record(p.Now(), lat)
-						}
+					if windows != nil && col.Active() {
+						windows.Record(p.Now(), lat)
 					}
 				}
 				if interval > 0 {
@@ -221,5 +206,5 @@ func Run(e *sim.Engine, cfg RunConfig) (*Result, error) {
 	if col.Window() == 0 {
 		col.Finish(e.Now())
 	}
-	return &Result{Collector: col, Config: cfg, Series: series, Windows: windows}, nil
+	return &Result{Collector: col, Config: cfg, Windows: windows}, nil
 }

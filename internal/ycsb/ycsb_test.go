@@ -292,29 +292,6 @@ func TestZipfianSkew(t *testing.T) {
 	}
 }
 
-func TestTrackThroughputSeries(t *testing.T) {
-	e := sim.NewEngine(4)
-	f := newFake(100*sim.Microsecond, 100*sim.Microsecond, 100*sim.Microsecond)
-	Load(f, 500)
-	res, err := Run(e, RunConfig{
-		Store: f, Workload: WorkloadR, Clients: 4,
-		InitialRecords: 500, Warmup: 100 * sim.Millisecond,
-		Measure: sim.Second, TrackThroughput: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Series == nil {
-		t.Fatal("series not recorded")
-	}
-	if got := len(res.Series.Buckets()); got < 15 {
-		t.Fatalf("series has %d buckets, want ~20", got)
-	}
-	if st := res.Series.Stability(); st < 0.8 || st > 1.2 {
-		t.Fatalf("fixed-latency store stability = %f, want ~1", st)
-	}
-}
-
 // TestReusedBuffersRetainExactRecords pins the key/fields buffer reuse:
 // the runner hands every operation views of its per-client buffers, and
 // every record the store keeps must hold exactly the bytes its record
